@@ -22,10 +22,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .errors import DomainError, ParseError, PhysicalityError
-from .numerics import TWO_PI, decompose_kernel, integrate, mode_overlap
+from .numerics import TWO_PI, Grid, decompose_kernel, integrate, mode_overlap
 from .sfwm import sfwm_modes
 from .units import CODATA
 
@@ -268,6 +267,8 @@ def optimize_filter(params, raman, search=None, n_points=201):
     iterations, one restart from the best point) and keeps the best
     order. Deterministic for fixed inputs.
     """
+    from scipy import optimize as _sopt
+
     from .visibility import evaluate_operating_point
 
     if search is None:

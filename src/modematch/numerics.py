@@ -13,6 +13,7 @@ symmetric so a dense symmetric eigensolver applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +65,18 @@ class Grid:
         return self.hi - self.lo
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def make_band_grid(width, n, rule="gauss", center=0.0, padding=0.0):
     """Build a quadrature grid over [-width/2 - pad, width/2 + pad].
 
@@ -83,7 +96,7 @@ def make_band_grid(width, n, rule="gauss", center=0.0, padding=0.0):
     lo = -width / 2.0 - pad_lo
     hi = width / 2.0 + pad_hi
     if rule == "gauss":
-        x, w = np.polynomial.legendre.leggauss(int(n))
+        x, w = _gauss_legendre(int(n))
         nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         weights = 0.5 * (hi - lo) * w
     elif rule == "trapezoid":

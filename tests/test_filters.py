@@ -1,10 +1,16 @@
 """Filter masks, shutter kernels, pass-probability modes, and the design search."""
 
 import math
+import os
+import subprocess
+import sys
+import typing
 
 import numpy as np
 import pytest
 
+import modematch
+from modematch import filters
 from modematch.errors import DomainError, ParseError, PhysicalityError
 from modematch.filters import (
     ATTENUATION_CAP_DB,
@@ -332,3 +338,31 @@ class TestProfileExport:
         path.write_text("wavelength_nm,attenuation_db\nabc,1.0\n")
         with pytest.raises(ParseError):
             load_filter_profile(path)
+
+
+class TestModuleHygiene:
+    def test_annotations_resolve(self):
+        for cls in (filters.SpectralProfile, filters.FilterModes):
+            hints = typing.get_type_hints(cls)
+            assert hints["grid"] is filters.Grid
+
+    def test_scipy_optimize_loads_only_for_a_search(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(modematch.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        code = (
+            "import sys, modematch\n"
+            "from modematch import cli\n"
+            "rc = cli.main(['modes', '--out', sys.argv[1]])\n"
+            "assert rc == 0, rc\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "m")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
+        assert (tmp_path / "m" / "modes.csv").exists()

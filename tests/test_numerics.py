@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from modematch import cli
 from modematch.errors import DomainError
 from modematch.numerics import (
     Grid,
+    _gauss_legendre,
     decompose_kernel,
     integrate,
     make_band_grid,
@@ -15,6 +17,64 @@ from modematch.numerics import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+class TestGaussRuleCache:
+    @pytest.mark.parametrize("n", [3, 41, 201, 403])
+    def test_matches_leggauss_bit_for_bit(self, n):
+        x, w = _gauss_legendre(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(x, x_ref)
+        assert np.array_equal(w, w_ref)
+
+    def test_cached_arrays_are_read_only(self):
+        x, w = _gauss_legendre(41)
+        assert not x.flags.writeable
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+
+    def test_grids_sharing_n_get_their_own_nodes(self):
+        n = 41
+        x, w = np.polynomial.legendre.leggauss(n)
+        cases = [
+            (4.0, 0.0, 0.0),
+            (7.0, 0.0, 0.0),
+            (4.0, (1.0, 3.0), 0.0),
+            (4.0, 0.0, 10.0),
+        ]
+        grids = [make_band_grid(width, n, center=c, padding=pad)
+                 for width, pad, c in cases]
+        for g in grids:
+            half, mid = 0.5 * (g.hi - g.lo), 0.5 * (g.hi + g.lo)
+            assert np.array_equal(g.nodes, half * x + mid)
+            assert np.array_equal(g.weights, half * w)
+            assert g.nodes.flags.writeable and g.weights.flags.writeable
+        narrow, wide = grids[0], grids[1]
+        wide_nodes, wide_weights = wide.nodes.copy(), wide.weights.copy()
+        narrow.nodes[:] = 0.0
+        narrow.weights[:] = 0.0
+        assert np.array_equal(wide.nodes, wide_nodes)
+        assert np.array_equal(wide.weights, wide_weights)
+        later = make_band_grid(4.0, n)
+        assert np.array_equal(later.nodes, 2.0 * x)
+        assert np.array_equal(later.weights, 2.0 * w)
+
+    def test_sweep_output_independent_of_cache_state(self, tmp_path):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("numerics.n_points = 101\nsweep.points = 5\n")
+        _gauss_legendre.cache_clear()
+        for sub in ("cold", "warm"):
+            rc = cli.main(
+                ["sweep-ppair", "--config", str(cfgp), "--out", str(tmp_path / sub)]
+            )
+            assert rc == 0
+        cold = sorted(p.name for p in (tmp_path / "cold").iterdir())
+        assert cold == sorted(p.name for p in (tmp_path / "warm").iterdir())
+        assert cold
+        for name in cold:
+            assert ((tmp_path / "cold" / name).read_bytes()
+                    == (tmp_path / "warm" / name).read_bytes())
 
 
 class TestGrid:
