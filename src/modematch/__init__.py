@@ -18,7 +18,7 @@ from .sfwm import (ExperimentParams, RamanModel, band_coincidence_integral,
                    params_for_pair_probability, save_raman_table, sfwm_modes,
                    unfiltered_pair_probability, xi)
 from .units import (CODATA, PhysicalConstants, binary_entropy,
-                    detuning_to_angular, erf, thermal_occupation)
+                    detuning_to_angular, thermal_occupation)
 from .visibility import (UnfilteredBudget, VisibilityReport,
                          coincidence_term, evaluate_operating_point,
                          key_fraction, pair_term, qber_from_visibility,

@@ -23,8 +23,8 @@ from .config import (RunConfig, load_config, resolved_items, to_params,
 from .errors import (DomainError, InfeasibleError, NumericalError, ParseError,
                      PhysicalityError)
 from .filters import (export_filter_profile, ideal_matched_filter,
-                      open_filter, optimize_filter, practical_filter)
-from .numerics import mode_overlap
+                      optimize_filter, practical_filter)
+from .numerics import make_band_grid, mode_overlap
 from .sfwm import (RamanModel, calibrate_raman, params_for_pair_probability,
                    save_raman_table, sfwm_modes)
 from .units import detuning_to_angular
@@ -59,38 +59,39 @@ def _fwhm(nodes, values):
     return float(right - left)
 
 
-def _practical_spec_from(cfg, result=None):
-    if result is not None:
-        return result.order, result.width, result.shutter_t
-    return cfg.filter_order, cfg.filter_width_sigma, cfg.shutter_t_sigma
+def _filter_for(cfg, params, raman):
+    """The configured filter as (make_filter, filter_resolved label).
 
-
-def _filter_for(cfg, params, raman, decomp):
-    """FilterModes for the configured filter kind, plus header items."""
+    make_filter maps a pair decomposition to the FilterModes applied on
+    both arms, and is None for the open filter, whose rates have closed
+    forms. Practical and optimized filters are built once, on the band
+    grid that every decomposition of this config uses.
+    """
     kind = cfg.filter_kind
     if kind == "open":
-        return open_filter(decomp.grid), [("filter_resolved", "open")], None
+        return None, "open"
     if kind == "ideal-matched":
-        return (ideal_matched_filter(decomp),
-                [("filter_resolved", "ideal-matched")], None)
+        return ideal_matched_filter, "ideal-matched"
     if kind == "practical":
-        order, width, shutter = _practical_spec_from(cfg)
-        fm = practical_filter(decomp.grid, order, width, shutter)
-        items = [("filter_resolved", "practical order=%d width=%s shutter_t=%s"
-                  % (order, repr(width), repr(shutter)))]
-        return fm, items, None
-    result = optimize_filter(params, raman, to_search_space(cfg),
-                             n_points=cfg.n_points)
-    items = [("filter_resolved",
-              "optimized order=%d width=%.6e shutter_t=%.6e objective=%s"
-              % (result.order, result.width, result.shutter_t, cfg.objective))]
-    return result.filter, items, result
+        order, width, shutter = cfg.filter_order, cfg.filter_width_sigma, cfg.shutter_t_sigma
+        grid = make_band_grid(params.b_sigma, cfg.n_points)
+        fm = practical_filter(grid, order, width, shutter)
+        label = ("practical order=%d width=%s shutter_t=%s"
+                 % (order, repr(width), repr(shutter)))
+    else:
+        result = optimize_filter(params, raman, to_search_space(cfg),
+                                 n_points=cfg.n_points)
+        fm = result.filter
+        label = ("optimized order=%d width=%.6e shutter_t=%.6e objective=%s"
+                 % (result.order, result.width, result.shutter_t, cfg.objective))
+    return (lambda decomp: fm), label
 
 
 def cmd_modes(cfg, out_dir, args):
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    decomp = sfwm_modes(params, raman, n_points=cfg.n_points, rule=cfg.rule)
+    make_filter, label = _filter_for(cfg, params, raman)
+    decomp = sfwm_modes(params, raman, n_points=cfg.n_points)
     psi0 = decomp.modes[:, 0]
     psi1 = decomp.modes[:, 1]
     header = list(resolved_items(cfg))
@@ -98,11 +99,11 @@ def cmd_modes(cfg, out_dir, args):
     header.append(("zeta", ",".join("%.8e" % decomp.eigenvalues[j] for j in sig)))
     header.append(("pump_fwhm_sigma", "%.8e" % PUMP_FWHM_SIGMA))
     header.append(("psi0_fwhm_sigma", "%.8e" % _fwhm(decomp.grid.nodes, psi0)))
+    header.append(("filter_resolved", label))
     columns = ["omega_sigma", "psi0", "psi1"]
     data = [decomp.grid.nodes, psi0, psi1]
-    if cfg.filter_kind != "open":
-        fm, items, _ = _filter_for(cfg, params, raman, decomp)
-        header.extend(items)
+    if make_filter is not None:
+        fm = make_filter(decomp)
         header.append(("chi0", "%.8e" % fm.chi0))
         header.append(("residual_sum", "%.8e" % fm.residual_sum))
         header.append(("overlap_phi0_psi0",
@@ -131,22 +132,7 @@ def cmd_sweep_ppair(cfg, out_dir, args):
         raise DomainError("config selects sweep.kind = %s, not p-pair" % cfg.sweep_kind)
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    fixed_fm = None
-    header_extra = []
-    if cfg.filter_kind == "optimize":
-        result = optimize_filter(params, raman, to_search_space(cfg),
-                                 n_points=cfg.n_points)
-        fixed_fm = result.filter
-        header_extra.append(("filter_resolved",
-                             "optimized order=%d width=%.6e shutter_t=%.6e"
-                             % (result.order, result.width, result.shutter_t)))
-    elif cfg.filter_kind == "practical":
-        decomp0 = sfwm_modes(params, raman, n_points=cfg.n_points, rule=cfg.rule)
-        fixed_fm = practical_filter(decomp0.grid, cfg.filter_order,
-                                    cfg.filter_width_sigma, cfg.shutter_t_sigma)
-        header_extra.append(("filter_resolved", "practical"))
-    else:
-        header_extra.append(("filter_resolved", cfg.filter_kind))
+    make_filter, label = _filter_for(cfg, params, raman)
     rows = []
     for p in _ppair_grid(cfg):
         params_p = params_for_pair_probability(params, float(p))
@@ -154,11 +140,10 @@ def cmd_sweep_ppair(cfg, out_dir, args):
         e_open = qber_from_visibility(v_open)
         k_open = key_fraction(e_open, float(p), f_ec=cfg.f_ec,
                               apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis)
-        if cfg.filter_kind == "open":
+        if make_filter is None:
             v_f, e_f, k_f = v_open, e_open, k_open
         else:
-            decomp = sfwm_modes(params_p, raman, n_points=cfg.n_points, rule=cfg.rule)
-            fm = fixed_fm if fixed_fm is not None else ideal_matched_filter(decomp)
+            fm = make_filter(sfwm_modes(params_p, raman, n_points=cfg.n_points))
             report = evaluate_operating_point(
                 params_p, raman, fm, fm, f_ec=cfg.f_ec,
                 apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis)
@@ -166,7 +151,7 @@ def cmd_sweep_ppair(cfg, out_dir, args):
         rows.append((float(p), v_open, e_open, k_open, v_f, e_f, k_f))
     path = os.path.join(out_dir, "sweep_ppair.csv")
     with open(path, "w", encoding="ascii", newline="") as fh:
-        _write_header(fh, list(resolved_items(cfg)) + header_extra)
+        _write_header(fh, list(resolved_items(cfg)) + [("filter_resolved", label)])
         fh.write("p_pair,v_open,qber_open,key_open,"
                  "v_filtered,qber_filtered,key_filtered\n")
         for row in rows:
@@ -178,25 +163,7 @@ def cmd_sweep_detuning(cfg, out_dir, args):
         raise DomainError("config selects sweep.kind = %s, not detuning" % cfg.sweep_kind)
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    header_extra = []
-    if cfg.filter_kind == "optimize":
-        result = optimize_filter(params, raman, to_search_space(cfg),
-                                 n_points=cfg.n_points)
-        order, width, shutter = _practical_spec_from(cfg, result)
-        header_extra.append(("filter_resolved",
-                             "optimized order=%d width=%.6e shutter_t=%.6e"
-                             % (order, width, shutter)))
-        make_filter = lambda dec: practical_filter(dec.grid, order, width, shutter)
-    elif cfg.filter_kind == "practical":
-        order, width, shutter = _practical_spec_from(cfg)
-        header_extra.append(("filter_resolved", "practical"))
-        make_filter = lambda dec: practical_filter(dec.grid, order, width, shutter)
-    elif cfg.filter_kind == "ideal-matched":
-        header_extra.append(("filter_resolved", "ideal-matched"))
-        make_filter = ideal_matched_filter
-    else:
-        header_extra.append(("filter_resolved", "open"))
-        make_filter = None
+    make_filter, label = _filter_for(cfg, params, raman)
     deltas = np.linspace(cfg.delta_min_nm, cfg.delta_max_nm, cfg.delta_points)
     rows = []
     for delta_nm in deltas:
@@ -213,7 +180,7 @@ def cmd_sweep_detuning(cfg, out_dir, args):
         rows.append((float(delta_nm), ratio, clamped, v_open, v_f))
     path = os.path.join(out_dir, "sweep_detuning.csv")
     with open(path, "w", encoding="ascii", newline="") as fh:
-        _write_header(fh, list(resolved_items(cfg)) + header_extra)
+        _write_header(fh, list(resolved_items(cfg)) + [("filter_resolved", label)])
         fh.write("delta_nm,gain_ratio,clamped,v_sat_open,v_sat_filtered\n")
         for delta_nm, ratio, clamped, v_open, v_f in rows:
             fh.write("%.6e,%.6e,%d,%.6e,%.6e\n"

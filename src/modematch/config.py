@@ -72,8 +72,6 @@ class RunConfig:
     band_width_nm: float = 5.0
     p_pair: float = 0.01
     n_points: int = 201
-    padding_sigma: float = 6.0
-    rule: str = "gauss"
     raman_source: str = "builtin"
     filter_kind: str = "ideal-matched"
     filter_order: int = 2
@@ -110,8 +108,6 @@ KEYMAP = {
     "band.width_nm": ("band_width_nm", _float),
     "run.p_pair": ("p_pair", _float),
     "numerics.n_points": ("n_points", _int),
-    "numerics.padding_sigma": ("padding_sigma", _float),
-    "numerics.rule": ("rule", _choice("gauss", "trapezoid", "simpson")),
     "raman.source": ("raman_source", _str),
     "filter.kind": ("filter_kind",
                     _choice("open", "ideal-matched", "practical", "optimize")),
@@ -176,8 +172,6 @@ def load_config(path):
 def _validate(cfg):
     if cfg.n_points < 3:
         raise DomainError("numerics.n_points must be at least 3")
-    if cfg.padding_sigma < 0:
-        raise DomainError("numerics.padding_sigma must be nonnegative")
     if cfg.p_min <= 0 or cfg.p_max < cfg.p_min:
         raise DomainError("sweep pair-probability bounds are not ordered")
     if cfg.sweep_points < 2:

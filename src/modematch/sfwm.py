@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError, ParseError
 from .numerics import make_band_grid, decompose_kernel
-from .units import CODATA, detuning_to_angular, thermal_occupation, erf
+from .units import CODATA, detuning_to_angular, thermal_occupation
 
 # Above this the second-order truncation of the pair amplitude is unsafe.
 Q_MAX = 0.1
@@ -134,16 +134,24 @@ def xi(x_sigma, q, raman_ratio):
     return out
 
 
-def sfwm_modes(params, raman, n_points=201, rule="gauss"):
+def gain_ratio(raman, params):
+    """Raman-to-Kerr gain ratio at the band center of ``params``.
+
+    ``raman`` is a RamanModel or a bare number taken as a constant ratio.
+    """
+    return raman.ratio_at(params.band_center) if hasattr(raman, "ratio_at") else float(raman)
+
+
+def sfwm_modes(params, raman, n_points=201):
     """Schmidt decomposition of the pair amplitude over the band.
 
     Returns modes on the band-relative grid (sigma units, center 0).
     Eigenvalues alternate in sign; the leading pair (zeta0, psi0) is the
     fundamental mode that a matched filter should pass.
     """
-    grid = make_band_grid(params.b_sigma, n_points, rule=rule)
-    r = raman.ratio_at(params.band_center) if hasattr(raman, "ratio_at") else float(raman)
-    kernel = xi(grid.nodes[:, None] + grid.nodes[None, :], params.q, r)
+    grid = make_band_grid(params.b_sigma, n_points)
+    kernel = xi(grid.nodes[:, None] + grid.nodes[None, :], params.q,
+                gain_ratio(raman, params))
     return decompose_kernel(kernel, grid)
 
 
@@ -172,7 +180,7 @@ def band_coincidence_integral(b_sigma):
     zero-power visibility used for calibration.
     """
     b = float(b_sigma)
-    return (math.exp(-b * b / 2.0) - 1.0) + math.sqrt(math.pi / 2.0) * b * erf(b / math.sqrt(2.0))
+    return (math.exp(-b * b / 2.0) - 1.0) + math.sqrt(math.pi / 2.0) * b * math.erf(b / math.sqrt(2.0))
 
 
 def saturated_open_visibility(params, raman_ratio):

@@ -72,28 +72,3 @@ def binary_entropy(p):
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def erf(x):
-    """Error function via the non-alternating Maclaurin-type series.
-
-    erf(x) = (2/sqrt(pi)) exp(-x^2) sum_k 2^k x^(2k+1) / (2k+1)!!
-
-    All terms are positive, so no catastrophic cancellation occurs for
-    moderate x. Beyond |x| = 6 the tail is below 1e-16 and +-1 is
-    returned directly. Absolute error stays under 1e-12 everywhere.
-    """
-    if x < 0.0:
-        return -erf(-x)
-    if x >= 6.0:
-        return 1.0
-    term = x
-    total = term
-    k = 0
-    while True:
-        k += 1
-        term *= 2.0 * x * x / (2.0 * k + 1.0)
-        total += term
-        if term < 1e-17 * total or k > 500:
-            break
-    return (2.0 / math.sqrt(math.pi)) * math.exp(-x * x) * total

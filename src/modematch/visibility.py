@@ -27,9 +27,13 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .numerics import TWO_PI, make_band_grid
-from .sfwm import (band_coincidence_integral, saturated_open_visibility,
-                   sfwm_modes, unfiltered_pair_probability, xi)
+from .sfwm import (band_coincidence_integral, gain_ratio,
+                   saturated_open_visibility, sfwm_modes,
+                   unfiltered_pair_probability, xi)
 from .units import binary_entropy, thermal_occupation
+
+# The Raman emission grid reaches this many pump widths past each band edge.
+RAMAN_PAD_SIGMA = 6.0
 
 # Pump-side padding of the Raman integration grid stops this many pump
 # widths short of the carrier, where the thermal model diverges.
@@ -53,27 +57,25 @@ def pair_term(fm, params):
     return math.sqrt(math.pi / 2.0) * params.q**2 * float(np.dot(chis, per_mode))
 
 
-def raman_term(fm, params, band, raman, padding=6.0, n_outer=None,
-               freeze_thermal=False):
+def raman_term(fm, params, band, raman, freeze_thermal=False):
     """Per-pulse spontaneous Raman rate into one filtered band.
 
     band is "stokes" or "anti". The emission integral runs over a grid
-    padded beyond the collection band; the pad is shortened on the pump
-    side when the full pad would reach within one pump width of the
-    carrier. freeze_thermal pins the phonon occupation at the band
-    center, which is what the closed-form budget assumes.
+    of 2n + 1 nodes padded RAMAN_PAD_SIGMA beyond the collection band;
+    the pad is shortened on the pump side when the full pad would reach
+    within PUMP_MARGIN_SIGMA of the carrier. freeze_thermal pins the
+    phonon occupation at the band center, which is what the closed-form
+    budget assumes.
     """
     if band not in ("stokes", "anti"):
         raise DomainError("band must be 'stokes' or 'anti'")
-    r = raman.ratio_at(params.band_center) if hasattr(raman, "ratio_at") else float(raman)
+    r = gain_ratio(raman, params)
     b = params.b_sigma
     b0 = params.b0_sigma
-    pad_pump = min(padding, max(0.0, b0 - b / 2.0 - PUMP_MARGIN_SIGMA))
+    pad_pump = min(RAMAN_PAD_SIGMA, max(0.0, b0 - b / 2.0 - PUMP_MARGIN_SIGMA))
     # pump sits below the anti-Stokes band and above the Stokes band
-    pads = (pad_pump, padding) if band == "anti" else (padding, pad_pump)
-    if n_outer is None:
-        n_outer = 2 * fm.grid.n + 1
-    outer = make_band_grid(b, n_outer, rule="gauss", padding=pads)
+    pads = (pad_pump, RAMAN_PAD_SIGMA) if band == "anti" else (RAMAN_PAD_SIGMA, pad_pump)
+    outer = make_band_grid(b, 2 * fm.grid.n + 1, padding=pads)
     sign = 1.0 if band == "anti" else -1.0
     if freeze_thermal:
         occ = np.full(outer.n, thermal_occupation(sign * params.band_center,
@@ -96,7 +98,7 @@ def coincidence_term(fm_stokes, fm_anti, params, raman, leading_only=False,
     xi_fn overrides the pair amplitude (a testing hook); leading_only
     drops the gain corrections, matching the closed-form budget.
     """
-    r = raman.ratio_at(params.band_center) if hasattr(raman, "ratio_at") else float(raman)
+    r = gain_ratio(raman, params)
     if xi_fn is None:
         if leading_only:
             xi_fn = lambda x: np.exp(-np.asarray(x, dtype=float)**2 / 4.0)
@@ -170,7 +172,7 @@ def unfiltered_budget(params, raman):
     """Open-filter rates in closed form; the oracle for the quadrature."""
     q = params.q
     b = params.b_sigma
-    r = raman.ratio_at(params.band_center) if hasattr(raman, "ratio_at") else float(raman)
+    r = gain_ratio(raman, params)
     n_anti = thermal_occupation(+params.band_center, params.temperature_k)
     n_stokes = thermal_occupation(-params.band_center, params.temperature_k)
     s = math.sqrt(2.0 * math.pi) * math.pi * q**2 * b
@@ -187,7 +189,7 @@ def visibility_open(params, raman):
 
 def saturated_visibility_open(params, raman):
     """Unfiltered visibility in the zero-power limit, closed form."""
-    r = raman.ratio_at(params.band_center) if hasattr(raman, "ratio_at") else float(raman)
+    r = gain_ratio(raman, params)
     return saturated_open_visibility(params, r)
 
 

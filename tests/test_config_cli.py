@@ -89,6 +89,20 @@ class TestParseConfig:
         with pytest.raises(DomainError):
             parse_config("filter.t_min_sigma = 0.2\n")
 
+    @pytest.mark.parametrize("key", ["numerics.rule", "numerics.padding_sigma"])
+    def test_removed_numerics_keys_rejected(self, key, tmp_path):
+        # every band grid is Gauss-Legendre with a fixed emission pad, so
+        # neither key may be accepted and then ignored
+        text = "run.p_pair = 0.01\n%s = gauss\n" % key
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        assert err.value.line == 2
+        assert "unknown key" in str(err.value)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(text)
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+
     def test_resolved_items_covers_every_key(self):
         cfg = RunConfig()
         items = resolved_items(cfg)
@@ -295,6 +309,71 @@ class TestCliOptimize:
         text = (tmp_path / "o" / "filter_report.txt").read_text()
         line = next(l for l in text.splitlines() if l.startswith("shutter_fwhm_ps"))
         assert float(line.partition("=")[2]) == pytest.approx(0.8798, rel=1e-3)
+
+
+# small grid and short sweeps; order 2 keeps the filter search short
+QUICK = (
+    "numerics.n_points = 41\nfilter.orders = 2\nsweep.points = 2\n"
+    "sweep.delta_points = 2\n"
+)
+
+
+def read_report(path):
+    report = {}
+    for line in path.read_text().splitlines():
+        if line.startswith("#") or "=" not in line:
+            continue
+        key, _, value = line.partition("=")
+        report[key.strip()] = value.strip()
+    return report
+
+
+class TestCliFilterResolution:
+    @pytest.mark.parametrize("kind", ["open", "ideal-matched", "practical", "optimize"])
+    def test_one_filter_resolved_per_config(self, kind, tmp_path):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(QUICK + "filter.kind = %s\n" % kind)
+        resolved = set()
+        for command, name in (("modes", "modes.csv"),
+                              ("sweep-ppair", "sweep_ppair.csv"),
+                              ("sweep-detuning", "sweep_detuning.csv")):
+            out = tmp_path / command
+            rc = cli.main([command, "--config", str(cfgp), "--out", str(out)])
+            assert rc == 0
+            header, _ = read_csv(out / name)
+            resolved.add(header["filter_resolved"])
+        assert len(resolved) == 1
+        assert resolved.pop().split()[0] == (
+            "optimized" if kind == "optimize" else kind)
+
+    def test_detuning_sweep_builds_practical_filter_once(self, tmp_path,
+                                                         monkeypatch):
+        built = []
+        real = cli.practical_filter
+
+        def counting(*args, **kwargs):
+            built.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "practical_filter", counting)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(QUICK + "filter.kind = practical\n")
+        rc = cli.main(["sweep-detuning", "--config", str(cfgp),
+                       "--out", str(tmp_path / "d")])
+        assert rc == 0
+        assert built == [(2, 3.68, 0.35)]
+
+    def test_modes_overlap_matches_optimize_report(self, tmp_path):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(QUICK + "filter.kind = optimize\n")
+        for command in ("modes", "optimize"):
+            rc = cli.main([command, "--config", str(cfgp),
+                           "--out", str(tmp_path / command)])
+            assert rc == 0
+        header, _ = read_csv(tmp_path / "modes" / "modes.csv")
+        report = read_report(tmp_path / "optimize" / "filter_report.txt")
+        assert float(header["overlap_phi0_psi0"]) == pytest.approx(
+            float(report["overlap_phi0_psi0"]), rel=1e-6)
 
 
 class TestCliCalibrate:

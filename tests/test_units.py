@@ -1,9 +1,8 @@
-"""Unit tests for physical constants, unit conversion, and scalar special functions."""
+"""Unit tests for physical constants, unit conversion, and scalar helpers."""
 
 import math
 
 import pytest
-import scipy.special
 
 from modematch.errors import DomainError
 from modematch.units import (
@@ -12,7 +11,6 @@ from modematch.units import (
     PhysicalConstants,
     binary_entropy,
     detuning_to_angular,
-    erf,
     thermal_occupation,
 )
 
@@ -125,25 +123,3 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(DomainError):
             binary_entropy(1.01)
-
-
-class TestErf:
-    def test_origin(self):
-        assert erf(0.0) == 0.0
-
-    def test_known_value(self):
-        assert erf(1.0) == pytest.approx(0.8427007929497149, rel=1e-14)
-
-    def test_saturation(self):
-        assert erf(6.0) == 1.0
-        assert erf(-7.5) == -1.0
-
-    def test_odd(self):
-        for x in (0.3, 1.7, 4.2):
-            assert erf(-x) == -erf(x)
-
-    def test_against_scipy(self):
-        # independent implementation; scipy is the reference here
-        for i in range(141):
-            x = -7.0 + 0.1 * i
-            assert abs(erf(x) - scipy.special.erf(x)) < 1e-12
