@@ -8,17 +8,15 @@ from .errors import (DomainError, InfeasibleError, NumericalError, ParseError,
 from .filters import (FilterModes, FilterSearchResult, SearchSpace,
                       SpectralProfile, export_filter_profile, filter_modes,
                       ideal_matched_filter, kappa_gaussian_shutter,
-                      kappa_general, load_filter_profile, open_filter,
-                      optimize_filter, practical_filter, shutter_trace,
-                      super_gaussian)
+                      open_filter, optimize_filter, practical_filter,
+                      shutter_trace, super_gaussian)
 from .numerics import (Grid, ModeDecomposition, decompose_kernel, integrate,
                        make_band_grid, mode_overlap)
 from .sfwm import (ExperimentParams, RamanModel, band_coincidence_integral,
                    calibrate_raman, default_raman_model, load_raman_table,
                    params_for_pair_probability, save_raman_table, sfwm_modes,
                    unfiltered_pair_probability, xi)
-from .units import (CODATA, PhysicalConstants, binary_entropy,
-                    detuning_to_angular, thermal_occupation)
+from .units import binary_entropy, detuning_to_angular, thermal_occupation
 from .visibility import (UnfilteredBudget, VisibilityReport,
                          coincidence_term, evaluate_operating_point,
                          key_fraction, pair_term, qber_from_visibility,

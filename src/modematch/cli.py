@@ -223,8 +223,7 @@ def cmd_calibrate(cfg, out_dir, args):
     params = to_params(cfg)
     det = detuning_to_angular(args.delta_nm, cfg.pump_wavelength_nm)
     ratio = calibrate_raman(args.target_v, det, params)
-    model = RamanModel(detunings=np.array([det]), ratios=np.array([ratio]),
-                       source="calibrated")
+    model = RamanModel(detunings=np.array([det]), ratios=np.array([ratio]))
     header = list(resolved_items(cfg))
     header.append(("target_v_sat", repr(args.target_v)))
     header.append(("calibration_delta_nm", repr(args.delta_nm)))

@@ -9,16 +9,20 @@ keys, duplicates and malformed values are reported with line numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, read_ascii
 from .filters import SearchSpace
 from .sfwm import (ExperimentParams, default_raman_model, load_raman_table,
                    params_for_pair_probability)
 
 
 def _float(text):
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _int(text):
@@ -58,7 +62,7 @@ def _int_list(text):
 def _opt_float(text):
     if text.lower() == "none":
         return None
-    return float(text)
+    return _float(text)
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,7 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config(fh.read())
+    return parse_config(read_ascii(path))
 
 
 def _validate(cfg):

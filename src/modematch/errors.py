@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input-file reader
+that turns a bad byte into one of them."""
 
 
 class DomainError(ValueError):
@@ -25,3 +26,17 @@ class InfeasibleError(ValueError):
 
 class NumericalError(RuntimeError):
     """A convergence or stability check failed."""
+
+
+def read_ascii(path):
+    """Text of an ASCII input file, with newlines translated as in text mode.
+
+    A byte outside ASCII is a ParseError at its line, not a decode error.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        before = exc.object[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise ParseError("non-ASCII byte 0x%02x" % exc.object[exc.start],
+                         line=before.count(b"\n") + 1) from None

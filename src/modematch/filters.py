@@ -19,16 +19,21 @@ the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, PhysicalityError
+from .errors import DomainError, PhysicalityError
 from .numerics import TWO_PI, Grid, decompose_kernel, integrate, mode_overlap
 from .sfwm import sfwm_modes
-from .units import CODATA
+from .units import C_LIGHT
 
 LN2 = math.log(2.0)
+
+# Nelder-Mead iteration cap per run, and the seed-simplex scales of the
+# first run and of its restart from the first run's best point.
+MAX_ITER = 200
+SIMPLEX_SCALES = (1.0, 0.1)
 
 # Eigenvalue clamps: tiny excursions outside [0, 1] are quadrature
 # roundoff and are snapped; anything larger is a real physicality bug.
@@ -80,36 +85,6 @@ def kappa_gaussian_shutter(profile, shutter_t):
     d = profile.grid.nodes[:, None] - profile.grid.nodes[None, :]
     amp = (shutter_t / 2.0) * math.sqrt(math.pi / LN2)
     return amp * h[:, None] * h[None, :] * np.exp(-d**2 * shutter_t**2 / (16.0 * LN2))
-
-
-def kappa_general(profile, time_nodes, time_weights, intensity):
-    """Filter kernel for an arbitrary sampled shutter intensity |f(t)|^2.
-
-    The time integral is evaluated by quadrature of cos((w - w') t); the
-    result is real and symmetric for a real intensity. Rejects time
-    grids too coarse for the band (Nyquist) or windows that truncate the
-    shutter.
-    """
-    t = np.asarray(time_nodes, dtype=float)
-    wt = np.asarray(time_weights, dtype=float)
-    f2 = np.asarray(intensity, dtype=float)
-    if t.ndim != 1 or t.shape != wt.shape or t.shape != f2.shape:
-        raise DomainError("time nodes, weights and intensity must match")
-    if np.any(f2 < 0):
-        raise DomainError("shutter intensity must be nonnegative")
-    peak = f2.max()
-    if peak <= 0:
-        raise DomainError("shutter intensity is identically zero")
-    if f2[0] > 1e-6 * peak or f2[-1] > 1e-6 * peak:
-        raise DomainError("time window truncates the shutter")
-    dmax = profile.grid.hi - profile.grid.lo
-    dt = np.max(np.diff(t))
-    if dmax * dt > math.pi:
-        raise DomainError("time grid too coarse for the band (Nyquist)")
-    d = profile.grid.nodes[:, None] - profile.grid.nodes[None, :]
-    kern = np.tensordot(np.cos(d[..., None] * t), wt * f2, axes=([2], [0]))
-    h = profile.values
-    return h[:, None] * h[None, :] * kern
 
 
 def shutter_trace(profile, shutter_t):
@@ -215,7 +190,6 @@ class SearchSpace:
     t_lo: float = None
     t_hi: float = None
     objective: str = "mode-match"
-    max_iter: int = 200
 
     def __post_init__(self):
         if self.width_lo <= 0 or self.width_hi < self.width_lo:
@@ -242,7 +216,6 @@ class FilterSearchResult:
     achieved_v: float
     overlap: float
     filter: FilterModes
-    profile: SpectralProfile
     converged: bool
     evaluations: int
 
@@ -300,53 +273,48 @@ def optimize_filter(params, raman, search=None, n_points=201):
         if search_t:
             x0.append(0.5 * (search.t_lo + search.t_hi))
             steps.append(max(1e-3, (search.t_hi - search.t_lo) / 5.0))
-        x0 = np.array(x0)
-        simplex = np.vstack([x0] + [x0 + s * e for s, e in zip(steps, np.eye(len(x0)))])
-        res = _sopt.minimize(
-            objective, x0, args=(order,), method="Nelder-Mead",
-            options=dict(initial_simplex=simplex, maxiter=search.max_iter,
-                         xatol=1e-6, fatol=1e-12))
-        simplex2 = np.vstack([res.x] + [res.x + 0.1 * s * e
-                                        for s, e in zip(steps, np.eye(len(x0)))])
-        res2 = _sopt.minimize(
-            objective, res.x, args=(order,), method="Nelder-Mead",
-            options=dict(initial_simplex=simplex2, maxiter=search.max_iter,
-                         xatol=1e-6, fatol=1e-12))
-        pick = res2 if res2.fun <= res.fun else res
-        cand = (float(pick.fun), order, pick.x.copy(),
-                bool(pick.success), int(res.nfev + res2.nfev))
+        x = np.array(x0)
+        pick, evals = None, 0
+        for scale in SIMPLEX_SCALES:
+            simplex = np.vstack([x] + [x + scale * s * e
+                                       for s, e in zip(steps, np.eye(len(x)))])
+            res = _sopt.minimize(
+                objective, x, args=(order,), method="Nelder-Mead",
+                options=dict(initial_simplex=simplex, maxiter=MAX_ITER,
+                             xatol=1e-6, fatol=1e-12))
+            evals += res.nfev
+            if pick is None or res.fun <= pick.fun:
+                pick = res
+            x = res.x
+        cand = (float(pick.fun), order, pick.x.copy(), bool(pick.success), int(evals))
         if best is None or cand[0] < best[0]:
             best = cand
     fun, order, x, converged, evals = best
     width, shutter_t, fm = build(order, x)
-    profile = super_gaussian(grid, width, order)
     report = evaluate_operating_point(params, raman, fm, fm)
     overlap = abs(mode_overlap(fm.modes[:, 0], psi0, grid))
     return FilterSearchResult(
         order=order, width=width, shutter_t=shutter_t,
         objective=search.objective, objective_value=-fun,
         achieved_v=report.visibility, overlap=overlap,
-        filter=fm, profile=profile, converged=converged, evaluations=evals)
+        filter=fm, converged=converged, evaluations=evals)
 
 
 ATTENUATION_CAP_DB = 120.0
-EXPORT_MAX_ROWS = 120
+EXPORT_ROWS = 120
 
 
-def export_filter_profile(path, params, order, width, shutter_t,
-                          max_rows=EXPORT_MAX_ROWS, header_items=()):
+def export_filter_profile(path, params, order, width, shutter_t, header_items=()):
     """Write the mask as wavelength / attenuation rows a pulse shaper takes.
 
     Wavelengths are absolute, on the blue (anti-Stokes) side of the
     pump; the mask is symmetric between bands. Power attenuation is
     capped at 120 dB. The shutter FWHM is recorded in the header in ps.
     """
-    if max_rows < 2:
-        raise DomainError("need at least two export rows")
-    x = np.linspace(-params.b_sigma / 2.0, params.b_sigma / 2.0, int(max_rows))
+    x = np.linspace(-params.b_sigma / 2.0, params.b_sigma / 2.0, EXPORT_ROWS)
     h = np.exp(-0.5 * (x / width) ** order)
     omega_abs = params.pump_omega + (params.b0_sigma + x) * params.sigma
-    wavelength_nm = 2.0 * math.pi * CODATA.c / omega_abs * 1e9
+    wavelength_nm = 2.0 * math.pi * C_LIGHT / omega_abs * 1e9
     att_db = np.where(h < 10 ** (-ATTENUATION_CAP_DB / 20.0),
                       ATTENUATION_CAP_DB, -20.0 * np.log10(np.maximum(h, 1e-300)))
     att_db = np.minimum(att_db, ATTENUATION_CAP_DB)
@@ -360,49 +328,3 @@ def export_filter_profile(path, params, order, width, shutter_t,
         fh.write("wavelength_nm,attenuation_db\n")
         for lam, db in zip(wavelength_nm, att_db):
             fh.write("%.6e,%.6e\n" % (lam, db))
-
-
-def load_filter_profile(path):
-    """Read back an exported mask; returns (wavelengths_nm, h, meta).
-
-    meta holds the parsed '# key = value' header entries as floats when
-    they parse, else strings. Raises ParseError with a line number.
-    """
-    meta = {}
-    wavelengths = []
-    h = []
-    header_seen = False
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    value = value.strip()
-                    try:
-                        meta[key.strip()] = float(value)
-                    except ValueError:
-                        meta[key.strip()] = value
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in line.split(",")]
-                if cols != ["wavelength_nm", "attenuation_db"]:
-                    raise ParseError("expected header wavelength_nm,attenuation_db", line=lineno)
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError("expected two comma-separated fields", line=lineno)
-            try:
-                lam = float(parts[0])
-                db = float(parts[1])
-            except ValueError:
-                raise ParseError("non-numeric field %r" % line, line=lineno)
-            wavelengths.append(lam)
-            h.append(10.0 ** (-db / 20.0))
-    if not wavelengths:
-        raise ParseError("mask table has no data rows", line=1)
-    return np.array(wavelengths), np.array(h), meta

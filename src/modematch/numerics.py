@@ -78,13 +78,14 @@ def _gauss_legendre(n):
 
 
 def make_band_grid(width, n, rule="gauss", center=0.0, padding=0.0):
-    """Build a quadrature grid over [-width/2 - pad, width/2 + pad].
+    """Build a Gauss-Legendre grid over [-width/2 - pad, width/2 + pad].
 
     ``padding`` may be a scalar or a (below, above) pair; an asymmetric
     pad is used when one side of a band must stop short of the carrier.
-    Rules: "gauss" (Gauss-Legendre, default), "trapezoid", "simpson"
-    (odd n required).
+    "gauss" is the only rule; any other is rejected.
     """
+    if rule != "gauss":
+        raise DomainError("unknown quadrature rule %r" % rule)
     if width <= 0:
         raise DomainError("band width must be positive")
     try:
@@ -95,25 +96,9 @@ def make_band_grid(width, n, rule="gauss", center=0.0, padding=0.0):
         raise DomainError("padding must be nonnegative")
     lo = -width / 2.0 - pad_lo
     hi = width / 2.0 + pad_hi
-    if rule == "gauss":
-        x, w = _gauss_legendre(int(n))
-        nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        weights = 0.5 * (hi - lo) * w
-    elif rule == "trapezoid":
-        nodes = np.linspace(lo, hi, int(n))
-        h = nodes[1] - nodes[0]
-        weights = np.full(int(n), h)
-        weights[0] = weights[-1] = h / 2.0
-    elif rule == "simpson":
-        if n % 2 == 0:
-            raise DomainError("simpson rule needs an odd node count")
-        nodes = np.linspace(lo, hi, int(n))
-        h = nodes[1] - nodes[0]
-        weights = np.full(int(n), 2.0 * h / 3.0)
-        weights[1::2] = 4.0 * h / 3.0
-        weights[0] = weights[-1] = h / 3.0
-    else:
-        raise DomainError("unknown quadrature rule %r" % rule)
+    x, w = _gauss_legendre(int(n))
+    nodes = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    weights = 0.5 * (hi - lo) * w
     return Grid(nodes=nodes, weights=weights, band_center=float(center), lo=lo, hi=hi)
 
 
@@ -160,16 +145,6 @@ class ModeDecomposition:
         return np.nonzero(np.abs(self.eigenvalues) > rel_tol * lead)[0]
 
 
-def _center_out_order(n, center_idx):
-    order = [center_idx]
-    for k in range(1, n):
-        if center_idx + k < n:
-            order.append(center_idx + k)
-        if center_idx - k >= 0:
-            order.append(center_idx - k)
-    return order
-
-
 def decompose_kernel(kernel, grid):
     """Schmidt decomposition of a symmetric kernel sampled on a grid.
 
@@ -194,15 +169,11 @@ def decompose_kernel(kernel, grid):
     lam = lam[order]
     vec = vec[:, order]
     modes = vec / sw[:, None] * np.sqrt(TWO_PI)
-    center_idx = int(np.argmin(np.abs(grid.nodes)))
-    scan = _center_out_order(n, center_idx)
-    for j in range(modes.shape[1]):
-        peak = np.abs(modes[:, j]).max()
-        if peak == 0.0:
-            continue
-        for i in scan:
-            if abs(modes[i, j]) > 1e-8 * peak:
-                if modes[i, j] < 0:
-                    modes[:, j] = -modes[:, j]
-                break
+    # sign fix: scan each column center, +1, -1, +2, -2, ... and make its
+    # first sample above 1e-8 of the column peak positive
+    offset = np.arange(n) - int(np.argmin(np.abs(grid.nodes)))
+    scanned = modes[np.argsort(2 * np.abs(offset) - (offset > 0))]
+    mag = np.abs(scanned)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    modes *= np.where(scanned[first, np.arange(n)] < 0, -1.0, 1.0)
     return ModeDecomposition(eigenvalues=lam, modes=modes, grid=grid)

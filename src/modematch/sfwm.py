@@ -29,12 +29,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, ParseError
+from .errors import DomainError, InfeasibleError, ParseError, read_ascii
 from .numerics import make_band_grid, decompose_kernel
-from .units import CODATA, detuning_to_angular, thermal_occupation
+from .units import C_LIGHT, detuning_to_angular, thermal_occupation
 
 # Above this the second-order truncation of the pair amplitude is unsafe.
 Q_MAX = 0.1
+
+# calibrate_raman stops once the saturated visibility is this close to
+# its target.
+CALIBRATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class ExperimentParams:
 
     @property
     def pump_omega(self):
-        return 2.0 * math.pi * CODATA.c / (self.pump_wavelength_nm * 1e-9)
+        return 2.0 * math.pi * C_LIGHT / (self.pump_wavelength_nm * 1e-9)
 
     @classmethod
     def from_nm(cls, gamma, length_km, temperature_k, pump_wavelength_nm,
@@ -197,7 +201,7 @@ def saturated_open_visibility(params, raman_ratio):
     return 1.0 / (1.0 + raman_ratio**2 * b**2 * n_anti * n_stokes / geom)
 
 
-def calibrate_raman(target_v_sat, detuning_rad_s, params, tol=1e-10):
+def calibrate_raman(target_v_sat, detuning_rad_s, params):
     """Gain ratio r that reproduces a zero-power visibility at a detuning.
 
     Bisection on the closed-form saturated visibility, which is strictly
@@ -218,7 +222,7 @@ def calibrate_raman(target_v_sat, detuning_rad_s, params, tol=1e-10):
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         v = saturated_open_visibility(trial, mid)
-        if abs(v - target_v_sat) <= tol:
+        if abs(v - target_v_sat) <= CALIBRATION_TOL:
             return mid
         if v > target_v_sat:
             lo = mid
@@ -237,7 +241,6 @@ class RamanModel:
 
     detunings: np.ndarray
     ratios: np.ndarray
-    source: str = "table"
 
     def __post_init__(self):
         det = np.asarray(self.detunings, dtype=float)
@@ -281,7 +284,7 @@ def default_raman_model(params):
         det = detuning_to_angular(d_nm, params.pump_wavelength_nm)
         dets.append(det)
         ratios.append(calibrate_raman(v, det, params))
-    return RamanModel(detunings=np.array(dets), ratios=np.array(ratios), source="builtin")
+    return RamanModel(detunings=np.array(dets), ratios=np.array(ratios))
 
 
 def load_raman_table(path):
@@ -289,38 +292,40 @@ def load_raman_table(path):
 
     Detunings are ordinary frequencies in THz (converted to rad/s).
     Lines starting with '#' and blank lines are skipped. Raises
-    ParseError with the offending 1-based line number.
+    ParseError with the offending 1-based line number, also for a
+    non-ASCII byte or a nan/inf field.
     """
     dets = []
     ratios = []
     header_seen = False
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if not header_seen:
-                cols = [c.strip() for c in line.split(",")]
-                if cols != ["detuning_thz", "gain_ratio"]:
-                    raise ParseError("expected header detuning_thz,gain_ratio", line=lineno)
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError("expected two comma-separated fields", line=lineno)
-            try:
-                det_thz = float(parts[0])
-                ratio = float(parts[1])
-            except ValueError:
-                raise ParseError("non-numeric field %r" % line, line=lineno)
-            dets.append(det_thz * 2.0 * math.pi * 1e12)
-            ratios.append(ratio)
+    for lineno, raw in enumerate(read_ascii(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not header_seen:
+            cols = [c.strip() for c in line.split(",")]
+            if cols != ["detuning_thz", "gain_ratio"]:
+                raise ParseError("expected header detuning_thz,gain_ratio", line=lineno)
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError("expected two comma-separated fields", line=lineno)
+        try:
+            det_thz = float(parts[0])
+            ratio = float(parts[1])
+        except ValueError:
+            raise ParseError("non-numeric field %r" % line, line=lineno)
+        if not (math.isfinite(det_thz) and math.isfinite(ratio)):
+            raise ParseError("non-finite field %r" % line, line=lineno)
+        dets.append(det_thz * 2.0 * math.pi * 1e12)
+        ratios.append(ratio)
     if not header_seen:
         raise ParseError("missing header detuning_thz,gain_ratio", line=1)
     if not dets:
         raise ParseError("gain table has no data rows", line=1)
     try:
-        return RamanModel(detunings=np.array(dets), ratios=np.array(ratios), source=str(path))
+        return RamanModel(detunings=np.array(dets), ratios=np.array(ratios))
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
 

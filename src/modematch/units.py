@@ -10,28 +10,20 @@ the key-rate estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
+
+# CODATA 2018 values, SI units; c and k_B are exact by definition.
+C_LIGHT = 2.99792458e8     # m/s
+HBAR = 1.054571817e-34     # J s
+K_B = 1.380649e-23         # J/K
 
 # Detunings closer to the carrier than this are outside the thermal
 # model's validity (the occupation diverges as 1/omega).
 OMEGA_MIN_RAD_S = 1.0e6
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """CODATA 2018 values, SI units. c and k_b are exact by definition."""
-
-    c: float = 2.99792458e8        # m/s
-    hbar: float = 1.054571817e-34  # J s
-    k_b: float = 1.380649e-23      # J/K
-
-
-CODATA = PhysicalConstants()
-
-
-def detuning_to_angular(delta_lambda_nm, pump_wavelength_nm, constants=CODATA):
+def detuning_to_angular(delta_lambda_nm, pump_wavelength_nm):
     """Convert a wavelength offset from the pump to an angular frequency.
 
     Uses the first-order dispersion of omega = 2 pi c / lambda, which is
@@ -44,10 +36,10 @@ def detuning_to_angular(delta_lambda_nm, pump_wavelength_nm, constants=CODATA):
     if pump_wavelength_nm <= 0:
         raise DomainError("pump wavelength must be positive")
     lam = pump_wavelength_nm * 1e-9
-    return 2.0 * math.pi * constants.c * (delta_lambda_nm * 1e-9) / lam**2
+    return 2.0 * math.pi * C_LIGHT * (delta_lambda_nm * 1e-9) / lam**2
 
 
-def thermal_occupation(delta_omega_rad_s, temperature_k, constants=CODATA):
+def thermal_occupation(delta_omega_rad_s, temperature_k):
     """Thermal phonon factor entering spontaneous Raman emission.
 
     For a detuning omega from the pump, returns the Bose occupation
@@ -60,7 +52,7 @@ def thermal_occupation(delta_omega_rad_s, temperature_k, constants=CODATA):
         raise DomainError(
             "thermal occupation undefined within %g rad/s of the pump" % OMEGA_MIN_RAD_S
         )
-    x = constants.hbar * abs(delta_omega_rad_s) / (constants.k_b * temperature_k)
+    x = HBAR * abs(delta_omega_rad_s) / (K_B * temperature_k)
     n = 1.0 / math.expm1(x)
     return n + 1.0 if delta_omega_rad_s < 0 else n
 

@@ -91,24 +91,19 @@ def raman_term(fm, params, band, raman, freeze_thermal=False):
     return (r * params.q / TWO_PI) * float(np.dot(outer.weights * occ, proj))
 
 
-def coincidence_term(fm_stokes, fm_anti, params, raman, leading_only=False,
-                     xi_fn=None):
+def coincidence_term(fm_stokes, fm_anti, params, raman, leading_only=False):
     """Per-pulse coincidence rate through the two filtered arms.
 
-    xi_fn overrides the pair amplitude (a testing hook); leading_only
-    drops the gain corrections, matching the closed-form budget.
+    leading_only drops the gain corrections, matching the closed-form
+    budget.
     """
-    r = gain_ratio(raman, params)
-    if xi_fn is None:
-        if leading_only:
-            xi_fn = lambda x: np.exp(-np.asarray(x, dtype=float)**2 / 4.0)
-        else:
-            xi_fn = lambda x: xi(x, params.q, r)
     chis_s, modes_s = _kept(fm_stokes)
     chis_a, modes_a = _kept(fm_anti)
     wphi_s = fm_stokes.grid.weights[:, None] * modes_s
     wphi_a = fm_anti.grid.weights[:, None] * modes_a
-    kern = xi_fn(fm_stokes.grid.nodes[:, None] + fm_anti.grid.nodes[None, :])
+    x = fm_stokes.grid.nodes[:, None] + fm_anti.grid.nodes[None, :]
+    kern = (np.exp(-x**2 / 4.0) if leading_only
+            else xi(x, params.q, gain_ratio(raman, params)))
     amp = wphi_s.T @ kern @ wphi_a
     return (params.q**2 / (4.0 * math.pi)) * float(chis_s @ amp**2 @ chis_a)
 

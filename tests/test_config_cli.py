@@ -131,13 +131,14 @@ class TestConfigConversion:
         cfg = parse_config("")
         params = to_params(cfg)
         model = to_raman(cfg, params)
-        assert model.source == "builtin"
+        assert model.ratios.size == 3  # the built-in anchors
         path = tmp_path / "gain.csv"
         path.write_text("detuning_thz,gain_ratio\n1.0,0.1\n2.0,0.2\n")
         cfg2 = parse_config("raman.source = %s\n" % path)
         model2 = to_raman(cfg2, params)
-        # loaded tables record the file they came from
-        assert model2.source.endswith("gain.csv")
+        # a path loads that table
+        assert model2.ratios.tolist() == [0.1, 0.2]
+        assert model2.detunings == pytest.approx([2e12 * np.pi, 4e12 * np.pi], rel=1e-15)
 
     def test_search_space_propagates(self):
         cfg = parse_config(
@@ -421,6 +422,46 @@ class TestCliErrors:
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-command"])
+
+    @pytest.mark.parametrize("text", [
+        "run.p_pair = nan\n",
+        "fiber.gamma = 1.6\nfiber.length_km = inf\n",
+        "filter.t_min_sigma = 0.2\nfilter.t_max_sigma = -inf\n",
+    ])
+    def test_non_finite_config_value(self, text, tmp_path, capsys):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(text)
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "line %d:" % text.count("\n") in capsys.readouterr().err
+        assert not (tmp_path / "m" / "modes.csv").exists()
+
+    def test_non_finite_gain_table_value(self, tmp_path, capsys):
+        table = tmp_path / "gain.csv"
+        table.write_text("detuning_thz,gain_ratio\n1.0,0.1\n1.5,nan\n")
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("raman.source = %s\n" % table)
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "line 3:" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "modes.csv").exists()
+
+    def test_non_ascii_config(self, tmp_path, capsys):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_bytes("run.p_pair = 0.01\n# caf\u00e9\n".encode("utf-8"))
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "line 2: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+    def test_non_ascii_gain_table(self, tmp_path, capsys):
+        table = tmp_path / "gain.csv"
+        table.write_bytes("# caf\u00e9\r\ndetuning_thz,gain_ratio\r\n1.0,0.1\r\n"
+                          .encode("utf-8"))
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("raman.source = %s\n" % table)
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "line 1: non-ASCII byte 0xc3" in capsys.readouterr().err
 
 
 class TestCliDeterminism:

@@ -11,7 +11,7 @@ import pytest
 
 import modematch
 from modematch import filters
-from modematch.errors import DomainError, ParseError, PhysicalityError
+from modematch.errors import DomainError, PhysicalityError
 from modematch.filters import (
     ATTENUATION_CAP_DB,
     FilterModes,
@@ -21,8 +21,6 @@ from modematch.filters import (
     filter_modes,
     ideal_matched_filter,
     kappa_gaussian_shutter,
-    kappa_general,
-    load_filter_profile,
     open_filter,
     optimize_filter,
     practical_filter,
@@ -37,6 +35,37 @@ LN2 = math.log(2.0)
 
 def band_grid(n=101):
     return make_band_grid(10.0, n)
+
+
+def kappa_general(profile, time_nodes, time_weights, intensity):
+    """Oracle filter kernel for an arbitrary sampled shutter intensity.
+
+    The time integral is evaluated by quadrature of cos((w - w') t).
+    Rejects time grids too coarse for the band (Nyquist) and windows
+    that truncate the shutter, where the quadrature would be wrong.
+    """
+    t = np.asarray(time_nodes, dtype=float)
+    f2 = np.asarray(intensity, dtype=float)
+    peak = f2.max()
+    if f2[0] > 1e-6 * peak or f2[-1] > 1e-6 * peak:
+        raise DomainError("time window truncates the shutter")
+    if (profile.grid.hi - profile.grid.lo) * np.max(np.diff(t)) > math.pi:
+        raise DomainError("time grid too coarse for the band (Nyquist)")
+    d = profile.grid.nodes[:, None] - profile.grid.nodes[None, :]
+    kern = np.tensordot(np.cos(d[..., None] * t), time_weights * f2, axes=([2], [0]))
+    h = profile.values
+    return h[:, None] * h[None, :] * kern
+
+
+def read_profile(path):
+    """An exported mask as (wavelengths_nm, h, header), read with numpy."""
+    lines = path.read_text(encoding="ascii").splitlines()
+    header = dict(line[1:].strip().split(" = ", 1)
+                  for line in lines if line.startswith("#"))
+    rows = [line for line in lines if not line.startswith("#")]
+    assert rows[0] == "wavelength_nm,attenuation_db"
+    wavelengths, att_db = np.loadtxt(rows[1:], delimiter=",", unpack=True)
+    return wavelengths, 10.0 ** (-att_db / 20.0), header
 
 
 class TestProfiles:
@@ -307,12 +336,12 @@ class TestProfileExport:
         p = ExperimentParams.at_pair_rate(0.01)
         path = tmp_path / "profile.csv"
         export_filter_profile(path, p, order=2, width=3.68, shutter_t=0.35)
-        wavelengths, h, meta = load_filter_profile(path)
-        assert wavelengths.size <= 120
+        wavelengths, h, meta = read_profile(path)
+        assert wavelengths.size == 120
         # rows run blue to red edge: wavelength falls as frequency rises
         assert np.all(np.diff(wavelengths) < 0)
         assert np.all(h <= 1.0 + 1e-12)
-        assert meta["profile_order"] == 2.0
+        assert meta["profile_order"] == "2"
         # attenuation is written in dB with a cap
         assert np.all(h >= 10.0 ** (-ATTENUATION_CAP_DB / 20.0) - 1e-15)
 
@@ -320,8 +349,11 @@ class TestProfileExport:
         p = ExperimentParams.at_pair_rate(0.01)
         path = tmp_path / "profile.csv"
         export_filter_profile(path, p, order=4, width=2.5, shutter_t=0.35)
-        wavelengths, h, meta = load_filter_profile(path)
+        wavelengths, h, meta = read_profile(path)
         assert float(meta["profile_width_sigma"]) == pytest.approx(2.5)
+        # rows sample the band evenly, edge to edge
+        x = np.linspace(-p.b_sigma / 2.0, p.b_sigma / 2.0, h.size)
+        assert np.allclose(h, np.exp(-0.5 * (x / 2.5) ** 4), rtol=1e-5, atol=0)
         # center rows should be near unity transmission
         assert np.max(h) > 0.999
 
@@ -329,15 +361,9 @@ class TestProfileExport:
         p = ExperimentParams.at_pair_rate(0.01)
         path = tmp_path / "profile.csv"
         export_filter_profile(path, p, order=2, width=3.68, shutter_t=0.35)
-        _, _, meta = load_filter_profile(path)
+        _, _, meta = read_profile(path)
         want_ps = 0.35 / p.sigma * 1e12
         assert float(meta["shutter_fwhm_ps"]) == pytest.approx(want_ps, rel=1e-4)
-
-    def test_load_rejects_malformed(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("wavelength_nm,attenuation_db\nabc,1.0\n")
-        with pytest.raises(ParseError):
-            load_filter_profile(path)
 
 
 class TestModuleHygiene:

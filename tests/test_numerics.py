@@ -78,18 +78,13 @@ class TestGaussRuleCache:
 
 
 class TestGrid:
-    def test_trapezoid_three_nodes(self):
-        g = make_band_grid(2.0, 3, rule="trapezoid")
-        assert np.allclose(g.nodes, [-1.0, 0.0, 1.0])
-        assert np.allclose(g.weights, [0.5, 1.0, 0.5])
-
     def test_weights_sum_to_span(self):
-        for rule, n in (("gauss", 40), ("trapezoid", 41), ("simpson", 41)):
-            g = make_band_grid(7.0, n, rule=rule)
+        for n in (3, 40, 41):
+            g = make_band_grid(7.0, n, padding=(0.5, 1.0))
             assert np.sum(g.weights) == pytest.approx(g.span, rel=1e-13)
 
     def test_gauss_integrates_gaussian(self):
-        g = make_band_grid(12.0, 60, rule="gauss")
+        g = make_band_grid(12.0, 60)
         val = integrate(np.exp(-g.nodes**2), g)
         assert val == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
@@ -106,13 +101,11 @@ class TestGrid:
         assert g.lo == pytest.approx(-3.0)
         assert g.hi == pytest.approx(5.0)
 
-    def test_simpson_needs_odd_count(self):
-        with pytest.raises(DomainError):
-            make_band_grid(2.0, 10, rule="simpson")
-
     def test_unknown_rule(self):
-        with pytest.raises(DomainError):
-            make_band_grid(2.0, 11, rule="romberg")
+        # Gauss-Legendre is the only rule
+        for rule in ("trapezoid", "simpson", "romberg"):
+            with pytest.raises(DomainError):
+                make_band_grid(2.0, 11, rule=rule)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
@@ -197,7 +190,11 @@ class TestDecomposeKernel:
     def test_matches_collocation_eigenvalues(self):
         # independent route: the plain collocation matrix K W / 2pi is
         # similar to the symmetrized one, so the spectra must agree
-        g = make_band_grid(10.0, 41, rule="trapezoid")
+        # on an equispaced trapezoid grid, unlike every program grid
+        nodes = np.linspace(-5.0, 5.0, 41)
+        weights = np.full(41, nodes[1] - nodes[0])
+        weights[[0, -1]] /= 2.0
+        g = Grid(nodes=nodes, weights=weights)
         k = gaussian_sum_kernel(g)
         dec = decompose_kernel(k, g)
         raw = np.linalg.eigvals(k * g.weights[None, :] / TWO_PI)
@@ -245,3 +242,56 @@ class TestDecomposeKernel:
         g = make_band_grid(12.0, 41)
         with pytest.raises(DomainError):
             decompose_kernel(np.ones((5, 5)), g)
+
+
+def first_significant(mode, center):
+    """First sample above 1e-8 of the peak, scanning center, +1, -1, +2, ..."""
+    threshold = 1e-8 * np.abs(mode).max()
+    for k in range(mode.size):
+        for i in (center + k, center - k):
+            if 0 <= i < mode.size and abs(mode[i]) > threshold:
+                return mode[i]
+    return 0.0
+
+
+class TestSignConvention:
+    @pytest.mark.parametrize("n", [40, 41])
+    def test_every_mode_of_a_random_kernel(self, n):
+        g = make_band_grid(10.0, n)
+        a = np.random.default_rng(n).standard_normal((n, n))
+        dec = decompose_kernel(a + a.T, g)
+        center = int(np.argmin(np.abs(g.nodes)))
+        assert all(first_significant(dec.modes[:, j], center) > 0 for j in range(n))
+
+    def test_odd_modes_on_odd_grid_take_plus_side_first(self):
+        # the center node of an odd Gauss grid is exactly 0, where odd
+        # modes vanish, so their sign is set at the + neighbour
+        g = make_band_grid(12.0, 81)
+        c = 40
+        assert g.nodes[c] == 0.0
+        x = g.nodes
+        env = np.exp(-x**2 / 10.0)
+        kern = env[:, None] * np.exp(-(x[:, None] - x[None, :]) ** 2 / 8.0) * env[None, :]
+        dec = decompose_kernel(kern, g)
+        parities = []
+        for j in range(6):
+            mode = dec.modes[:, j]
+            odd = abs(mode[c]) <= 1e-8 * np.abs(mode).max()
+            parities.append(odd)
+            if odd:
+                assert mode[c + 1] > 0 > mode[c - 1]
+                assert np.allclose(mode, -mode[::-1], atol=1e-8)
+            else:
+                assert mode[c] > 0
+        assert parities == [False, True] * 3
+
+    def test_scan_reaches_past_a_vanishing_center(self):
+        # a rank-one mode that is zero within 2 of the center; its nearest
+        # support is on the - side, so that side is positive
+        g = make_band_grid(12.0, 81)
+        x = g.nodes
+        v = np.where((x > -4.0) & (x < -2.0), 1.0, 0.0) - np.where((x > 3.0) & (x < 5.0), 1.0, 0.0)
+        dec = decompose_kernel(np.outer(v, v), g)
+        mode = dec.modes[:, 0]
+        assert np.all(mode[(x > -4.0) & (x < -2.0)] > 0)
+        assert np.all(mode[(x > 3.0) & (x < 5.0)] < 0)

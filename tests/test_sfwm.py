@@ -203,7 +203,6 @@ class TestRamanModel:
     def test_builtin_anchor_ratios(self):
         p = ExperimentParams()
         model = default_raman_model(p)
-        assert model.source == "builtin"
         want = (0.0070240580, 0.0322856606, 0.0617575841)
         for d_nm, ratio in zip(BUILTIN_ANCHORS_NM, want):
             w = detuning_to_angular(d_nm, p.pump_wavelength_nm)

@@ -150,13 +150,6 @@ class TestCoincidenceTerm:
         assert got == pytest.approx(want, rel=1e-10)
         assert got == pytest.approx(0.00434518, rel=1e-4)
 
-    def test_zero_amplitude_hook(self, setup):
-        params, raman, _, matched = setup
-        got = coincidence_term(
-            matched, matched, params, raman, xi_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float))
-        )
-        assert got == 0.0
-
 
 class TestVisibilityFormula:
     def test_pure_coincidences(self):
