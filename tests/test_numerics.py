@@ -101,6 +101,11 @@ class TestGrid:
         assert g.lo == pytest.approx(-3.0)
         assert g.hi == pytest.approx(5.0)
 
+    def test_simpson_needs_odd_count(self):
+        # Simpson is no longer offered; the request is still refused
+        with pytest.raises(DomainError):
+            make_band_grid(2.0, 10, rule="simpson")
+
     def test_unknown_rule(self):
         # Gauss-Legendre is the only rule
         for rule in ("trapezoid", "simpson", "romberg"):
