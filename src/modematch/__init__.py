@@ -17,10 +17,11 @@ from .sfwm import (ExperimentParams, RamanModel, band_coincidence_integral,
                    params_for_pair_probability, save_raman_table, sfwm_modes,
                    unfiltered_pair_probability, xi)
 from .units import binary_entropy, detuning_to_angular, thermal_occupation
-from .visibility import (UnfilteredBudget, VisibilityReport,
+from .visibility import (RateModel, UnfilteredBudget, VisibilityReport,
                          coincidence_term, evaluate_operating_point,
                          key_fraction, pair_term, qber_from_visibility,
-                         raman_term, saturated_visibility_filtered,
+                         raman_term, rate_model,
+                         saturated_visibility_filtered,
                          saturated_visibility_open, tpi_visibility,
                          unfiltered_budget, visibility_open)
 

@@ -29,7 +29,8 @@ from .sfwm import (RamanModel, calibrate_raman, params_for_pair_probability,
                    save_raman_table, sfwm_modes)
 from .units import detuning_to_angular
 from .visibility import (evaluate_operating_point, key_fraction,
-                         qber_from_visibility, saturated_visibility_filtered,
+                         qber_from_visibility, rate_model,
+                         saturated_visibility_filtered,
                          saturated_visibility_open, visibility_open)
 
 PUMP_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -60,12 +61,13 @@ def _fwhm(nodes, values):
 
 
 def _filter_for(cfg, params, raman):
-    """The configured filter as (make_filter, filter_resolved label).
+    """The configured filter as (filter, filter_resolved label).
 
-    make_filter maps a pair decomposition to the FilterModes applied on
-    both arms, and is None for the open filter, whose rates have closed
-    forms. Practical and optimized filters are built once, on the band
-    grid that every decomposition of this config uses.
+    filter is None for the open filter, whose rates have closed forms;
+    ``ideal_matched_filter``, which maps each pair decomposition to the
+    FilterModes applied on both arms; or, for practical and optimized
+    filters, one FilterModes that ignores the decomposition, built once
+    on the band grid that every decomposition of this config uses.
     """
     kind = cfg.filter_kind
     if kind == "open":
@@ -84,13 +86,13 @@ def _filter_for(cfg, params, raman):
         fm = result.filter
         label = ("optimized order=%d width=%.6e shutter_t=%.6e objective=%s"
                  % (result.order, result.width, result.shutter_t, cfg.objective))
-    return (lambda decomp: fm), label
+    return fm, label
 
 
 def cmd_modes(cfg, out_dir, args):
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    make_filter, label = _filter_for(cfg, params, raman)
+    filt, label = _filter_for(cfg, params, raman)
     decomp = sfwm_modes(params, raman, n_points=cfg.n_points)
     psi0 = decomp.modes[:, 0]
     psi1 = decomp.modes[:, 1]
@@ -102,8 +104,8 @@ def cmd_modes(cfg, out_dir, args):
     header.append(("filter_resolved", label))
     columns = ["omega_sigma", "psi0", "psi1"]
     data = [decomp.grid.nodes, psi0, psi1]
-    if make_filter is not None:
-        fm = make_filter(decomp)
+    if filt is not None:
+        fm = filt(decomp) if callable(filt) else filt
         header.append(("chi0", "%.8e" % fm.chi0))
         header.append(("residual_sum", "%.8e" % fm.residual_sum))
         header.append(("overlap_phi0_psi0",
@@ -132,7 +134,9 @@ def cmd_sweep_ppair(cfg, out_dir, args):
         raise DomainError("config selects sweep.kind = %s, not p-pair" % cfg.sweep_kind)
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    make_filter, label = _filter_for(cfg, params, raman)
+    filt, label = _filter_for(cfg, params, raman)
+    # only q changes between rows, so one rate model serves them all
+    model = None if filt is None else rate_model(params, raman, cfg.n_points)
     rows = []
     for p in _ppair_grid(cfg):
         params_p = params_for_pair_probability(params, float(p))
@@ -140,13 +144,16 @@ def cmd_sweep_ppair(cfg, out_dir, args):
         e_open = qber_from_visibility(v_open)
         k_open = key_fraction(e_open, float(p), f_ec=cfg.f_ec,
                               apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis)
-        if make_filter is None:
+        if filt is None:
             v_f, e_f, k_f = v_open, e_open, k_open
         else:
-            fm = make_filter(sfwm_modes(params_p, raman, n_points=cfg.n_points))
+            fm = (filt(sfwm_modes(params_p, raman, n_points=cfg.n_points,
+                                  model=model))
+                  if callable(filt) else filt)
             report = evaluate_operating_point(
                 params_p, raman, fm, fm, f_ec=cfg.f_ec,
-                apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis)
+                apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis,
+                model=model)
             v_f, e_f, k_f = report.visibility, report.qber, report.key_fraction
         rows.append((float(p), v_open, e_open, k_open, v_f, e_f, k_f))
     path = os.path.join(out_dir, "sweep_ppair.csv")
@@ -163,8 +170,9 @@ def cmd_sweep_detuning(cfg, out_dir, args):
         raise DomainError("config selects sweep.kind = %s, not detuning" % cfg.sweep_kind)
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    make_filter, label = _filter_for(cfg, params, raman)
+    filt, label = _filter_for(cfg, params, raman)
     deltas = np.linspace(cfg.delta_min_nm, cfg.delta_max_nm, cfg.delta_points)
+    model = None
     rows = []
     for delta_nm in deltas:
         det = detuning_to_angular(float(delta_nm), cfg.pump_wavelength_nm)
@@ -172,11 +180,14 @@ def cmd_sweep_detuning(cfg, out_dir, args):
         clamped = 1 if raman.clamped(det) else 0
         ratio = raman.ratio_at(det)
         v_open = saturated_visibility_open(params_d, raman)
-        if make_filter is None:
+        if filt is None:
             v_f = v_open
         else:
-            v_f = saturated_visibility_filtered(params_d, raman, make_filter,
-                                                n_points=cfg.n_points)
+            # each row's Raman pieces are new; its band grid pieces are not
+            model = rate_model(params_d, raman, cfg.n_points, base=model)
+            v_f = saturated_visibility_filtered(params_d, raman, filt,
+                                                n_points=cfg.n_points,
+                                                model=model)
         rows.append((float(delta_nm), ratio, clamped, v_open, v_f))
     path = os.path.join(out_dir, "sweep_detuning.csv")
     with open(path, "w", encoding="ascii", newline="") as fh:

@@ -242,11 +242,14 @@ def optimize_filter(params, raman, search=None, n_points=201):
     """
     from scipy import optimize as _sopt
 
-    from .visibility import evaluate_operating_point
+    from .visibility import evaluate_operating_point, rate_model
 
     if search is None:
         search = SearchSpace()
-    decomp = sfwm_modes(params, raman, n_points=n_points)
+    # the mode-match search needs no rates; its one report builds its own
+    model = (rate_model(params, raman, n_points)
+             if search.objective == "visibility" else None)
+    decomp = sfwm_modes(params, raman, n_points=n_points, model=model)
     grid = decomp.grid
     psi0 = decomp.modes[:, 0]
     search_t = search.t_lo is not None
@@ -263,7 +266,7 @@ def optimize_filter(params, raman, search=None, n_points=201):
         _, _, fm = build(order, x)
         if search.objective == "mode-match":
             return -abs(mode_overlap(fm.modes[:, 0], psi0, grid))
-        report = evaluate_operating_point(params, raman, fm, fm)
+        report = evaluate_operating_point(params, raman, fm, fm, model=model)
         return -report.visibility
 
     best = None
@@ -291,7 +294,7 @@ def optimize_filter(params, raman, search=None, n_points=201):
             best = cand
     fun, order, x, converged, evals = best
     width, shutter_t, fm = build(order, x)
-    report = evaluate_operating_point(params, raman, fm, fm)
+    report = evaluate_operating_point(params, raman, fm, fm, model=model)
     overlap = abs(mode_overlap(fm.modes[:, 0], psi0, grid))
     return FilterSearchResult(
         order=order, width=width, shutter_t=shutter_t,

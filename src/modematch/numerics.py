@@ -158,22 +158,35 @@ def decompose_kernel(kernel, grid):
     n = grid.n
     if kernel.shape != (n, n):
         raise DomainError("kernel shape does not match the grid")
-    scale = max(1.0, float(np.abs(kernel).max()))
-    if np.abs(kernel - kernel.T).max() > 1e-8 * scale:
+    # at most two n x n work buffers are alive at once, and eigh never
+    # sees a spare one; the caller's kernel is only read. np.take writes
+    # unbuffered only in "clip" mode, which never clips the permutations
+    # taken here.
+    buf = np.abs(kernel)
+    scale = max(1.0, float(buf.max()))
+    np.subtract(kernel, kernel.T, out=buf)
+    if np.abs(buf, out=buf).max() > 1e-8 * scale:
         raise DomainError("kernel is not symmetric")
     sw = np.sqrt(grid.weights)
-    sym = (sw[:, None] * kernel * sw[None, :]) / TWO_PI
-    sym = 0.5 * (sym + sym.T)  # remove roundoff asymmetry before eigh
+    np.multiply(sw[:, None], kernel, out=buf)
+    del kernel
+    buf *= sw[None, :]
+    buf /= TWO_PI
+    sym = np.add(buf, buf.T)  # remove roundoff asymmetry before eigh
+    sym *= 0.5
+    del buf
     lam, vec = np.linalg.eigh(sym)
     order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
-    vec = vec[:, order]
-    modes = vec / sw[:, None] * np.sqrt(TWO_PI)
+    modes = np.take(vec, order, axis=1, out=sym, mode="clip")
+    del vec
+    modes /= sw[:, None]
+    modes *= np.sqrt(TWO_PI)
     # sign fix: scan each column center, +1, -1, +2, -2, ... and make its
     # first sample above 1e-8 of the column peak positive
     offset = np.arange(n) - int(np.argmin(np.abs(grid.nodes)))
-    scanned = modes[np.argsort(2 * np.abs(offset) - (offset > 0))]
-    mag = np.abs(scanned)
+    scan = np.argsort(2 * np.abs(offset) - (offset > 0))
+    mag = np.abs(np.take(modes, scan, axis=0, mode="clip"))
     first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
-    modes *= np.where(scanned[first, np.arange(n)] < 0, -1.0, 1.0)
+    modes *= np.where(modes[scan[first], np.arange(n)] < 0, -1.0, 1.0)
     return ModeDecomposition(eigenvalues=lam, modes=modes, grid=grid)

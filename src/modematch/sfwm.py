@@ -130,12 +130,17 @@ def xi(x_sigma, q, raman_ratio):
     the second-order (double-scattering) contribution.
     """
     x = np.asarray(x_sigma, dtype=float)
-    out = (np.exp(-x**2 / 4.0)
-           - (math.pi / math.sqrt(2.0)) * raman_ratio * q * np.exp(-x**2 / 8.0)
-           + (2.0 * math.pi**2 / math.sqrt(3.0)) * q**2 * np.exp(-x**2 / 12.0))
+    out = _xi_from_gaussians(np.exp(-x**2 / 4.0), np.exp(-x**2 / 8.0),
+                             np.exp(-x**2 / 12.0), q, raman_ratio)
     if np.isscalar(x_sigma):
         return float(out)
     return out
+
+
+def _xi_from_gaussians(e4, e8, e12, q, raman_ratio):
+    """xi from exp(-x^2/4), exp(-x^2/8) and exp(-x^2/12) at x."""
+    return (e4 - (math.pi / math.sqrt(2.0)) * raman_ratio * q * e8
+            + (2.0 * math.pi**2 / math.sqrt(3.0)) * q**2 * e12)
 
 
 def gain_ratio(raman, params):
@@ -146,17 +151,24 @@ def gain_ratio(raman, params):
     return raman.ratio_at(params.band_center) if hasattr(raman, "ratio_at") else float(raman)
 
 
-def sfwm_modes(params, raman, n_points=201):
+def sfwm_modes(params, raman, n_points=201, model=None):
     """Schmidt decomposition of the pair amplitude over the band.
 
     Returns modes on the band-relative grid (sigma units, center 0).
     Eigenvalues alternate in sign; the leading pair (zeta0, psi0) is the
-    fundamental mode that a matched filter should pass.
+    fundamental mode that a matched filter should pass. ``model`` is an
+    optional ``visibility.RateModel`` of this source at ``n_points``;
+    its grid and sum-frequency Gaussians are then reused.
     """
-    grid = make_band_grid(params.b_sigma, n_points)
-    kernel = xi(grid.nodes[:, None] + grid.nodes[None, :], params.q,
-                gain_ratio(raman, params))
-    return decompose_kernel(kernel, grid)
+    if model is None:
+        grid = make_band_grid(params.b_sigma, n_points)
+        return decompose_kernel(xi(grid.nodes[:, None] + grid.nodes[None, :],
+                                   params.q, gain_ratio(raman, params)), grid)
+    model.check(params, raman=raman)
+    if n_points != model.grid.n:
+        raise DomainError("rate model has %d nodes, not %d"
+                          % (model.grid.n, n_points))
+    return decompose_kernel(model.xi(params.q), model.grid)
 
 
 def unfiltered_pair_probability(params):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from modematch import cli
+from modematch import cli, sfwm, visibility
 from modematch.config import (
     RunConfig,
     load_config,
@@ -375,6 +375,47 @@ class TestCliFilterResolution:
         report = read_report(tmp_path / "optimize" / "filter_report.txt")
         assert float(header["overlap_phi0_psi0"]) == pytest.approx(
             float(report["overlap_phi0_psi0"]), rel=1e-6)
+
+
+class TestCliRateModel:
+    def test_fixed_filter_sweeps_skip_the_pair_decomposition(self, tmp_path,
+                                                             count_calls):
+        decomposed = count_calls("sfwm_modes", cli, visibility)
+        counts = {}
+        for kind in ("practical", "ideal-matched"):
+            cfgp = tmp_path / ("%s.cfg" % kind)
+            cfgp.write_text(QUICK + "filter.kind = %s\n" % kind)
+            decomposed.clear()
+            for command in ("sweep-ppair", "sweep-detuning"):
+                rc = cli.main([command, "--config", str(cfgp),
+                               "--out", str(tmp_path / kind / command)])
+                assert rc == 0
+            counts[kind] = len(decomposed)
+        # ideal-matched decomposes at each of the 3 p_pair rows and at
+        # both probes of the 2 detuning rows; a fixed filter never does
+        assert counts == {"practical": 0, "ideal-matched": 3 + 2 * 2}
+
+    def test_ppair_sweep_builds_source_pieces_once(self, tmp_path, count_calls):
+        n = 41
+        occ = count_calls("thermal_occupation", visibility)
+        budgets = count_calls("unfiltered_budget", visibility)
+        grids = count_calls("make_band_grid", cli, sfwm, visibility)
+        counts = []
+        for points in (3, 6):
+            cfgp = tmp_path / ("%d.cfg" % points)
+            cfgp.write_text("numerics.n_points = %d\nsweep.points = %d\n"
+                            % (n, points))
+            for calls in (occ, budgets, grids):
+                calls.clear()
+            rc = cli.main(["sweep-ppair", "--config", str(cfgp),
+                           "--out", str(tmp_path / str(points))])
+            assert rc == 0
+            # each row's closed-form open budget takes two occupations
+            counts.append((len(budgets), len(occ) - 2 * len(budgets), len(grids)))
+        (rows_1, occ_1, grids_1), (rows_2, occ_2, grids_2) = counts
+        assert rows_2 > rows_1
+        assert occ_1 == occ_2 == 2 * (2 * n + 1)
+        assert grids_1 == grids_2 == 3
 
 
 class TestCliCalibrate:

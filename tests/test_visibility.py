@@ -5,15 +5,24 @@ import math
 import numpy as np
 import pytest
 
+from modematch import sfwm, visibility
 from modematch.errors import DomainError, NumericalError
-from modematch.filters import ideal_matched_filter, open_filter, practical_filter
-from modematch.numerics import make_band_grid
+from modematch.filters import (
+    SearchSpace,
+    ideal_matched_filter,
+    open_filter,
+    optimize_filter,
+    practical_filter,
+)
+from modematch.numerics import decompose_kernel, make_band_grid
 from modematch.sfwm import (
     ExperimentParams,
     default_raman_model,
+    params_for_pair_probability,
     sfwm_modes,
     unfiltered_pair_probability,
 )
+from modematch.units import detuning_to_angular
 from modematch.visibility import (
     coincidence_term,
     evaluate_operating_point,
@@ -21,6 +30,7 @@ from modematch.visibility import (
     pair_term,
     qber_from_visibility,
     raman_term,
+    rate_model,
     saturated_visibility_filtered,
     saturated_visibility_open,
     tpi_visibility,
@@ -289,3 +299,125 @@ class TestOperatingPointReport:
         matched_v = evaluate_operating_point(params, raman, matched, matched).visibility
         assert open_v < rep.visibility < matched_v
         assert rep.visibility == pytest.approx(0.892909, rel=1e-4)
+
+
+def all_rates(fm, params, raman, model=None):
+    return [pair_term(fm, params, model=model),
+            raman_term(fm, params, "stokes", raman, model=model),
+            raman_term(fm, params, "anti", raman, model=model),
+            coincidence_term(fm, fm, params, raman, model=model),
+            coincidence_term(fm, fm, params, raman, leading_only=True,
+                             model=model)]
+
+
+class TestRateModel:
+    @pytest.mark.parametrize("n", [41, 101])
+    def test_rates_equal_one_shot_bit_for_bit(self, setup, n):
+        base, raman, _, _ = setup
+        model = None
+        for center_nm in (10.0, 7.0, 13.0):
+            source = base.with_band_center(detuning_to_angular(center_nm, 1538.7))
+            # later band centers reuse the first model's band grid pieces
+            model = rate_model(source, raman, n, base=model)
+            for p_pair in (1e-3, 0.01, 0.03):
+                params = params_for_pair_probability(source, p_pair)
+                dec = sfwm_modes(params, raman, n_points=n)
+                shared = sfwm_modes(params, raman, n_points=n, model=model)
+                assert np.array_equal(shared.eigenvalues, dec.eigenvalues)
+                assert np.array_equal(shared.modes, dec.modes)
+                many = practical_filter(dec.grid, 2, 6.0, 2.0)
+                assert many.significant().size >= 10
+                for fm in (ideal_matched_filter(shared), many):
+                    assert (all_rates(fm, params, raman, model)
+                            == all_rates(fm, params, raman))
+
+    def test_base_must_share_the_band_grid(self, setup):
+        params, raman, _, _ = setup
+        model = rate_model(params, raman, 41)
+        with pytest.raises(DomainError):
+            rate_model(params, raman, 43, base=model)
+        wider = ExperimentParams(band_width=1.2 * params.band_width)
+        with pytest.raises(DomainError):
+            rate_model(wider, raman, 41, base=model)
+
+    def test_fixed_filter_saturates_like_a_constant_map(self, setup):
+        params, raman, _, _ = setup
+        fm = practical_filter(make_band_grid(params.b_sigma, 41), 2, 3.68, 0.35)
+        fixed = saturated_visibility_filtered(params, raman, fm, n_points=41)
+        mapped = saturated_visibility_filtered(params, raman, lambda dec: fm,
+                                               n_points=41)
+        assert fixed == mapped
+
+    def test_optimized_report_unchanged_by_the_model(self, setup):
+        params, raman, _, _ = setup
+        search = SearchSpace(orders=(2,), objective="visibility")
+        result = optimize_filter(params, raman, search, n_points=41)
+        one_shot = evaluate_operating_point(params, raman, result.filter,
+                                            result.filter)
+        assert result.achieved_v == one_shot.visibility
+
+    def test_rejects_a_filter_on_another_grid(self, setup):
+        params, raman, _, _ = setup
+        model = rate_model(params, raman, 41)
+        fm = practical_filter(make_band_grid(params.b_sigma, 43), 2, 3.68, 0.35)
+        with pytest.raises(DomainError):
+            pair_term(fm, params, model=model)
+        with pytest.raises(DomainError):
+            raman_term(fm, params, "anti", raman, model=model)
+        with pytest.raises(DomainError):
+            coincidence_term(fm, fm, params, raman, model=model)
+        with pytest.raises(DomainError):
+            sfwm_modes(params, raman, n_points=43, model=model)
+
+    def test_rejects_another_source_or_gain_ratio(self, setup):
+        params, raman, _, _ = setup
+        model = rate_model(params, raman, 41)
+        fm = practical_filter(model.grid, 2, 3.68, 0.35)
+        moved = params.with_band_center(detuning_to_angular(9.0, 1538.7))
+        with pytest.raises(DomainError):
+            pair_term(fm, moved, model=model)
+        with pytest.raises(DomainError):
+            raman_term(fm, params, "anti", 2.0 * model.ratio, model=model)
+        # another q, and the ratio as a bare number, are the same source
+        stronger = params.with_q(2.0 * params.q)
+        assert (raman_term(fm, stronger, "anti", model.ratio, model=model)
+                == raman_term(fm, stronger, "anti", raman))
+
+    def test_reads_but_never_writes_caller_arrays(self, setup):
+        params, raman, _, _ = setup
+        grid = make_band_grid(params.b_sigma, 41)
+        kernel = np.exp(-np.add.outer(grid.nodes, grid.nodes) ** 2 / 4.0)
+        fm = practical_filter(grid, 4, 3.0, 0.2)
+        for a in (kernel, grid.nodes, grid.weights, fm.chis, fm.modes):
+            a.setflags(write=False)
+        saved = [a.copy() for a in (kernel, grid.weights, fm.modes)]
+        # a write to any of them would raise ValueError
+        decompose_kernel(kernel, grid)
+        model = rate_model(params, raman, 41)
+        evaluate_operating_point(params, raman, fm, fm, model=model)
+        for a, b in zip((kernel, grid.weights, fm.modes), saved):
+            assert np.array_equal(a, b)
+        held = (model.pair, *model.sum_gaussians,
+                *(w_occ for _, w_occ in model.emission.values()))
+        assert not any(a.flags.writeable for a in held)
+
+    def test_search_occupations_independent_of_evaluations(self, setup,
+                                                           count_calls):
+        params, raman, _, _ = setup
+        n = 41
+        occ = count_calls("thermal_occupation", visibility)
+        grids = count_calls("make_band_grid", visibility, sfwm)
+        evals = count_calls("evaluate_operating_point", visibility)
+        counts = []
+        for orders in ((2,), (2, 4)):
+            for calls in (occ, grids, evals):
+                calls.clear()
+            optimize_filter(params, raman,
+                            SearchSpace(orders=orders, objective="visibility"),
+                            n_points=n)
+            counts.append((len(evals), len(occ), len(grids)))
+        (evals_1, occ_1, grids_1), (evals_2, occ_2, grids_2) = counts
+        assert evals_2 > evals_1
+        # one emission grid of 2n + 1 nodes per band, and the band grid
+        assert occ_1 == occ_2 == 2 * (2 * n + 1)
+        assert grids_1 == grids_2 == 3
