@@ -20,8 +20,7 @@ from .units import binary_entropy, detuning_to_angular, thermal_occupation
 from .visibility import (RateModel, UnfilteredBudget, VisibilityReport,
                          coincidence_term, evaluate_operating_point,
                          key_fraction, pair_term, qber_from_visibility,
-                         raman_term, rate_model,
-                         saturated_visibility_filtered,
+                         raman_term, saturated_visibility_filtered,
                          saturated_visibility_open, tpi_visibility,
                          unfiltered_budget, visibility_open)
 

@@ -28,9 +28,8 @@ from .numerics import make_band_grid, mode_overlap
 from .sfwm import (RamanModel, calibrate_raman, params_for_pair_probability,
                    save_raman_table, sfwm_modes)
 from .units import detuning_to_angular
-from .visibility import (evaluate_operating_point, key_fraction,
-                         qber_from_visibility, rate_model,
-                         saturated_visibility_filtered,
+from .visibility import (RateModel, evaluate_operating_point, key_fraction,
+                         qber_from_visibility, saturated_visibility_filtered,
                          saturated_visibility_open, visibility_open)
 
 PUMP_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -130,13 +129,11 @@ def _ppair_grid(cfg):
 
 
 def cmd_sweep_ppair(cfg, out_dir, args):
-    if cfg.sweep_kind not in ("none", "p-pair"):
-        raise DomainError("config selects sweep.kind = %s, not p-pair" % cfg.sweep_kind)
     params = to_params(cfg)
     raman = to_raman(cfg, params)
     filt, label = _filter_for(cfg, params, raman)
-    # only q changes between rows, so one rate model serves them all
-    model = None if filt is None else rate_model(params, raman, cfg.n_points)
+    model = None if filt is None else RateModel(make_band_grid(params.b_sigma,
+                                                               cfg.n_points))
     rows = []
     for p in _ppair_grid(cfg):
         params_p = params_for_pair_probability(params, float(p))
@@ -166,13 +163,12 @@ def cmd_sweep_ppair(cfg, out_dir, args):
 
 
 def cmd_sweep_detuning(cfg, out_dir, args):
-    if cfg.sweep_kind not in ("none", "detuning"):
-        raise DomainError("config selects sweep.kind = %s, not detuning" % cfg.sweep_kind)
     params = to_params(cfg)
     raman = to_raman(cfg, params)
     filt, label = _filter_for(cfg, params, raman)
+    model = None if filt is None else RateModel(make_band_grid(params.b_sigma,
+                                                               cfg.n_points))
     deltas = np.linspace(cfg.delta_min_nm, cfg.delta_max_nm, cfg.delta_points)
-    model = None
     rows = []
     for delta_nm in deltas:
         det = detuning_to_angular(float(delta_nm), cfg.pump_wavelength_nm)
@@ -183,8 +179,6 @@ def cmd_sweep_detuning(cfg, out_dir, args):
         if filt is None:
             v_f = v_open
         else:
-            # each row's Raman pieces are new; its band grid pieces are not
-            model = rate_model(params_d, raman, cfg.n_points, base=model)
             v_f = saturated_visibility_filtered(params_d, raman, filt,
                                                 n_points=cfg.n_points,
                                                 model=model)

@@ -87,7 +87,6 @@ class RunConfig:
     width_max_sigma: float = 10.0
     t_min_sigma: float = None
     t_max_sigma: float = None
-    sweep_kind: str = "none"
     p_min: float = 1e-4
     p_max: float = 0.05
     sweep_points: int = 25
@@ -124,7 +123,6 @@ KEYMAP = {
     "filter.width_max_sigma": ("width_max_sigma", _float),
     "filter.t_min_sigma": ("t_min_sigma", _opt_float),
     "filter.t_max_sigma": ("t_max_sigma", _opt_float),
-    "sweep.kind": ("sweep_kind", _choice("none", "p-pair", "detuning")),
     "sweep.p_min": ("p_min", _float),
     "sweep.p_max": ("p_max", _float),
     "sweep.points": ("sweep_points", _int),

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PhysicalityError
-from .numerics import TWO_PI, Grid, decompose_kernel, integrate, mode_overlap
+from .numerics import (TWO_PI, Grid, decompose_kernel, integrate,
+                       make_band_grid, mode_overlap)
 from .sfwm import sfwm_modes
 from .units import C_LIGHT
 
@@ -242,12 +243,12 @@ def optimize_filter(params, raman, search=None, n_points=201):
     """
     from scipy import optimize as _sopt
 
-    from .visibility import evaluate_operating_point, rate_model
+    from .visibility import RateModel, evaluate_operating_point
 
     if search is None:
         search = SearchSpace()
     # the mode-match search needs no rates; its one report builds its own
-    model = (rate_model(params, raman, n_points)
+    model = (RateModel(make_band_grid(params.b_sigma, n_points))
              if search.objective == "visibility" else None)
     decomp = sfwm_modes(params, raman, n_points=n_points, model=model)
     grid = decomp.grid

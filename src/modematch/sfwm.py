@@ -157,18 +157,17 @@ def sfwm_modes(params, raman, n_points=201, model=None):
     Returns modes on the band-relative grid (sigma units, center 0).
     Eigenvalues alternate in sign; the leading pair (zeta0, psi0) is the
     fundamental mode that a matched filter should pass. ``model`` is an
-    optional ``visibility.RateModel`` of this source at ``n_points``;
-    its grid and sum-frequency Gaussians are then reused.
+    optional ``visibility.RateModel`` on this source's n_points band
+    grid; its grid and sum-frequency Gaussians are then reused.
     """
     if model is None:
         grid = make_band_grid(params.b_sigma, n_points)
         return decompose_kernel(xi(grid.nodes[:, None] + grid.nodes[None, :],
                                    params.q, gain_ratio(raman, params)), grid)
-    model.check(params, raman=raman)
-    if n_points != model.grid.n:
-        raise DomainError("rate model has %d nodes, not %d"
-                          % (model.grid.n, n_points))
-    return decompose_kernel(model.xi(params.q), model.grid)
+    if model.grid.n != n_points or model.grid.span != params.b_sigma:
+        raise DomainError("rate model is not on this source's %d-node band grid"
+                          % n_points)
+    return decompose_kernel(model.xi(params.q, gain_ratio(raman, params)), model.grid)
 
 
 def unfiltered_pair_probability(params):

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import TWO_PI, Grid, make_band_grid
+from .numerics import TWO_PI, make_band_grid
 from .sfwm import (_xi_from_gaussians, band_coincidence_integral,
                    gain_ratio, saturated_open_visibility, sfwm_modes,
-                   unfiltered_pair_probability, xi)
+                   unfiltered_pair_probability)
 from .units import binary_entropy, thermal_occupation
 
 # The Raman emission grid reaches this many pump widths past each band edge.
@@ -38,6 +38,10 @@ RAMAN_PAD_SIGMA = 6.0
 # Pump-side padding of the Raman integration grid stops this many pump
 # widths short of the carrier, where the thermal model diverges.
 PUMP_MARGIN_SIGMA = 1.0
+
+PROBE_Q = 1e-4
+CHECK_Q = PROBE_Q / 2.0
+PROBE_TOL = 1e-3
 
 DEFAULT_F_EC = 1.22
 
@@ -54,11 +58,6 @@ def _gaussians(d, *scales):
     for g in out:
         np.exp(g, out=g)
     return out
-
-
-def _pair_matrix(grid):
-    """exp(-(w - w')^2 / 8) on the band grid."""
-    return _gaussians(np.subtract.outer(grid.nodes, grid.nodes), 8.0)[0]
 
 
 def _emission_grid(params, band, n):
@@ -89,22 +88,19 @@ def _weighted_occupations(params, band, outer, freeze_thermal=False):
     return outer.weights * occ
 
 
-def _source(params):
-    """What a RateModel depends on besides n: everything but the gain q."""
-    return (params.band_width, params.sigma, params.band_center,
-            params.temperature_k)
-
-
-@dataclass(frozen=True, eq=False)
 class RateModel:
-    """The filter-independent parts of the three rate integrals.
+    """The filter-independent parts of the three rate integrals on one
+    band grid.
 
-    Built by ``rate_model`` for one source on its n-node band grid, and
-    valid at any gain q of that source. Holds the pair matrix
-    exp(-(w-w')^2/8), the three Gaussians exp(-x^2/4), exp(-x^2/8),
-    exp(-x^2/12) of xi on the sum-frequency grid x = w + w', per band
-    the Raman emission grid and its weights times the phonon
-    occupations, and the gain ratio. The arrays are read-only.
+    Hold one per command and pass it to the rate functions. Built on the
+    n-node band grid that every filter and pair decomposition of the
+    command uses, it holds the pair matrix exp(-(w-w')^2/8) and the
+    three Gaussians exp(-x^2/4), exp(-x^2/8), exp(-x^2/12) of xi on the
+    sum-frequency grid x = w + w'. Per band it also holds the Raman
+    emission grid and its weights times the phonon occupations of the
+    last source asked for, rebuilt when the band width, pump width, band
+    center or temperature changes; the gain q never enters. The arrays
+    are read-only.
 
     Each band's (2n + 1) x n projection exp(-(W - w)^2/2) is not held:
     it is the largest piece and cheap to build, and holding it took the
@@ -112,84 +108,63 @@ class RateModel:
     none of these pieces once.
     """
 
-    source: tuple
-    raman: object
-    ratio: float
-    grid: Grid
-    pair: np.ndarray
-    sum_gaussians: tuple
-    emission: dict
+    def __init__(self, grid):
+        self.grid = grid
+        self.pair = _gaussians(np.subtract.outer(grid.nodes, grid.nodes), 8.0)[0]
+        self.sum_gaussians = tuple(_gaussians(np.add.outer(grid.nodes, grid.nodes),
+                                              4.0, 8.0, 12.0))
+        for a in (self.pair, *self.sum_gaussians):
+            a.setflags(write=False)
+        self._emission = {}
 
-    def check(self, params, *fms, raman=None):
-        """Raise DomainError unless params, raman and the filters' grids
-        are the ones this model was built for (q may differ)."""
-        if _source(params) != self.source:
-            raise DomainError("source differs from the rate model's in more than q")
-        if (raman is not None and raman is not self.raman
-                and gain_ratio(raman, params) != self.ratio):
-            raise DomainError("gain ratio differs from the rate model's")
+    def check(self, *fms):
+        """Raise DomainError unless every filter is on this model's grid."""
         for fm in fms:
-            if fm.grid is not self.grid and not (
-                    fm.grid.n == self.grid.n
-                    and np.array_equal(fm.grid.nodes, self.grid.nodes)):
+            if (fm.grid is not self.grid
+                    and not np.array_equal(fm.grid.nodes, self.grid.nodes)):
                 raise DomainError("filter grid differs from the rate model's "
                                   "%d-node band grid" % self.grid.n)
 
-    def xi(self, q):
-        """sfwm.xi on the sum-frequency grid at gain q, same arithmetic."""
-        return _xi_from_gaussians(*self.sum_gaussians, q, self.ratio)
+    def emission(self, params, band):
+        """The band's Raman emission grid and weighted occupations for
+        the source of ``params``."""
+        source = (params.band_width, params.sigma, params.band_center,
+                  params.temperature_k)
+        held = self._emission.get(band)
+        if held is None or held[0] != source:
+            outer = _emission_grid(params, band, self.grid.n)
+            w_occ = _weighted_occupations(params, band, outer)
+            w_occ.setflags(write=False)
+            held = self._emission[band] = (source, outer, w_occ)
+        return held[1:]
+
+    def xi(self, q, ratio):
+        """sfwm.xi on the sum-frequency grid, same arithmetic."""
+        return _xi_from_gaussians(*self.sum_gaussians, q, ratio)
 
 
-def rate_model(params, raman, n_points=201, base=None):
-    """Build the RateModel of this source on its n_points band grid.
-
-    Hold one per command (a search, a sweep, a saturation probe pair)
-    and pass it to the rate functions, which then skip rebuilding it.
-    ``base`` is a RateModel of a source with the same band grid, say at
-    another band center; its grid, pair matrix and sum-frequency
-    Gaussians are reused, and only the Raman pieces are built.
-    """
-    if base is None:
-        grid = make_band_grid(params.b_sigma, n_points)
-        pair = _pair_matrix(grid)
-        sum_gaussians = tuple(_gaussians(np.add.outer(grid.nodes, grid.nodes),
-                                         4.0, 8.0, 12.0))
-        for a in (pair, *sum_gaussians):
-            a.setflags(write=False)
-    else:
-        # band width and pump width fix the band grid
-        if base.grid.n != n_points or base.source[:2] != _source(params)[:2]:
-            raise DomainError("base rate model is on another band grid")
-        grid, pair, sum_gaussians = base.grid, base.pair, base.sum_gaussians
-    emission = {}
-    for band in BANDS:
-        outer = _emission_grid(params, band, n_points)
-        w_occ = _weighted_occupations(params, band, outer)
-        w_occ.setflags(write=False)
-        emission[band] = (outer, w_occ)
-    return RateModel(source=_source(params), raman=raman,
-                     ratio=gain_ratio(raman, params), grid=grid, pair=pair,
-                     sum_gaussians=sum_gaussians, emission=emission)
+def _checked(model, fm, *more):
+    """model, or a new one on fm's grid, after checking the filters' grids."""
+    if model is None:
+        model = RateModel(fm.grid)
+    model.check(fm, *more)
+    return model
 
 
 def _kept(fm, rel_tol=1e-6):
+    """The significant pass probabilities and their weight-scaled modes."""
     idx = fm.significant(rel_tol)
-    return fm.chis[idx], fm.modes[:, idx]
+    return fm.chis[idx], fm.grid.weights[:, None] * fm.modes[:, idx]
 
 
 def pair_term(fm, params, model=None):
     """Per-pulse pair emission rate into one filtered band.
 
-    ``model`` is an optional RateModel of this source; without one the
-    pair matrix is built for this call.
+    ``model`` is the command's RateModel; without one, one is built on
+    the filter's grid for this call.
     """
-    if model is None:
-        e8 = _pair_matrix(fm.grid)
-    else:
-        model.check(params, fm)
-        e8 = model.pair
-    chis, modes = _kept(fm)
-    wphi = fm.grid.weights[:, None] * modes
+    e8 = _checked(model, fm).pair
+    chis, wphi = _kept(fm)
     per_mode = np.einsum("ij,ik,kj->j", wphi, e8, wphi)
     return math.sqrt(math.pi / 2.0) * params.q**2 * float(np.dot(chis, per_mode))
 
@@ -200,25 +175,21 @@ def raman_term(fm, params, band, raman, freeze_thermal=False, model=None):
     band is "stokes" or "anti". The emission integral runs over the
     padded grid of ``_emission_grid``. freeze_thermal pins the phonon
     occupation at the band center, which is what the closed-form budget
-    assumes; it always builds its own emission grid. ``model`` is an
-    optional RateModel of this source; without one the band's emission
-    grid and occupations are built for this call.
+    assumes; it always builds its own emission grid. ``model`` is the
+    command's RateModel; without one, one is built on the filter's grid
+    for this call.
     """
     if band not in BANDS:
         raise DomainError("band must be 'stokes' or 'anti'")
-    if model is None or freeze_thermal:
-        r = gain_ratio(raman, params)
+    if freeze_thermal:
         outer = _emission_grid(params, band, fm.grid.n)
         w_occ = _weighted_occupations(params, band, outer, freeze_thermal)
     else:
-        model.check(params, fm, raman=raman)
-        r = model.ratio
-        outer, w_occ = model.emission[band]
-    chis, modes = _kept(fm)
-    wphi = fm.grid.weights[:, None] * modes
+        outer, w_occ = _checked(model, fm).emission(params, band)
+    chis, wphi = _kept(fm)
     e2 = _gaussians(np.subtract.outer(outer.nodes, fm.grid.nodes), 2.0)[0]
     proj = (e2 @ wphi)**2 @ chis
-    return (r * params.q / TWO_PI) * float(np.dot(w_occ, proj))
+    return (gain_ratio(raman, params) * params.q / TWO_PI) * float(np.dot(w_occ, proj))
 
 
 def coincidence_term(fm_stokes, fm_anti, params, raman, leading_only=False,
@@ -226,20 +197,14 @@ def coincidence_term(fm_stokes, fm_anti, params, raman, leading_only=False,
     """Per-pulse coincidence rate through the two filtered arms.
 
     leading_only drops the gain corrections, matching the closed-form
-    budget. ``model`` is an optional RateModel of this source; without
-    one the pair amplitude is evaluated for this call.
+    budget. Both arms must be on one grid. ``model`` is the command's
+    RateModel; without one, one is built on that grid for this call.
     """
-    if model is None:
-        x = fm_stokes.grid.nodes[:, None] + fm_anti.grid.nodes[None, :]
-        kern = (np.exp(-x**2 / 4.0) if leading_only
-                else xi(x, params.q, gain_ratio(raman, params)))
-    else:
-        model.check(params, fm_stokes, fm_anti, raman=raman)
-        kern = model.sum_gaussians[0] if leading_only else model.xi(params.q)
-    chis_s, modes_s = _kept(fm_stokes)
-    chis_a, modes_a = _kept(fm_anti)
-    wphi_s = fm_stokes.grid.weights[:, None] * modes_s
-    wphi_a = fm_anti.grid.weights[:, None] * modes_a
+    model = _checked(model, fm_stokes, fm_anti)
+    kern = (model.sum_gaussians[0] if leading_only
+            else model.xi(params.q, gain_ratio(raman, params)))
+    chis_s, wphi_s = _kept(fm_stokes)
+    chis_a, wphi_a = _kept(fm_anti)
     amp = wphi_s.T @ kern @ wphi_a
     return (params.q**2 / (4.0 * math.pi)) * float(chis_s @ amp**2 @ chis_a)
 
@@ -344,9 +309,10 @@ def evaluate_operating_point(params, raman, fm_stokes, fm_anti,
                              q_basis=0.5, model=None):
     """Full rate budget and derived figures for a filtered source.
 
-    ``model`` is an optional RateModel of this source, passed on to
-    every rate.
+    ``model`` is the command's RateModel, passed on to every rate;
+    without one, one is built on the filters' grid for this call.
     """
+    model = _checked(model, fm_stokes, fm_anti)
     s_s = pair_term(fm_stokes, params, model=model)
     s_a = pair_term(fm_anti, params, model=model)
     r_s = raman_term(fm_stokes, params, "stokes", raman, model=model)
@@ -363,21 +329,20 @@ def evaluate_operating_point(params, raman, fm_stokes, fm_anti,
 
 
 def saturated_visibility_filtered(params, raman, make_filter, n_points=201,
-                                  q_probe=1e-4, q_check=5e-5, rich_tol=1e-3,
                                   model=None):
     """Filtered visibility in the zero-power limit.
 
-    Evaluates at a small probe gain and verifies against a half-gain
-    probe (Richardson-style consistency); disagreement beyond rich_tol
-    means the probe has not reached the Raman-dominated plateau and
-    raises NumericalError. make_filter maps a mode decomposition to the
-    FilterModes applied on both arms, or is a FilterModes on the
-    n_points band grid, applied as it is without a decomposition. Both
-    probes share ``model``, this source's RateModel, built here when not
-    given.
+    Evaluates at the probe gain PROBE_Q and verifies against the
+    half-gain probe CHECK_Q (Richardson-style consistency); disagreement
+    beyond PROBE_TOL means the probe has not reached the Raman-dominated
+    plateau and raises NumericalError. make_filter maps a mode
+    decomposition to the FilterModes applied on both arms, or is a
+    FilterModes on the n_points band grid, applied as it is without a
+    decomposition. ``model`` is the command's RateModel on that grid,
+    built here when not given.
     """
     if model is None:
-        model = rate_model(params, raman, n_points)
+        model = RateModel(make_band_grid(params.b_sigma, n_points))
 
     def v_at(q_val):
         p = params.with_q(q_val)
@@ -387,9 +352,9 @@ def saturated_visibility_filtered(params, raman, make_filter, n_points=201,
             fm = make_filter
         return evaluate_operating_point(p, raman, fm, fm, model=model).visibility
 
-    v1 = v_at(q_probe)
-    v2 = v_at(q_check)
-    if abs(v1 - v2) > rich_tol:
+    v1 = v_at(PROBE_Q)
+    v2 = v_at(CHECK_Q)
+    if abs(v1 - v2) > PROBE_TOL:
         raise NumericalError(
             "saturated visibility not converged: %.6f vs %.6f" % (v1, v2))
     return v1

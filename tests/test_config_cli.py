@@ -89,10 +89,12 @@ class TestParseConfig:
         with pytest.raises(DomainError):
             parse_config("filter.t_min_sigma = 0.2\n")
 
-    @pytest.mark.parametrize("key", ["numerics.rule", "numerics.padding_sigma"])
+    @pytest.mark.parametrize("key", ["numerics.rule", "numerics.padding_sigma",
+                                     "sweep.kind"])
     def test_removed_numerics_keys_rejected(self, key, tmp_path):
-        # every band grid is Gauss-Legendre with a fixed emission pad, so
-        # neither key may be accepted and then ignored
+        # every band grid is Gauss-Legendre with a fixed emission pad, and
+        # each sweep is its own command, so no key may be accepted and
+        # then ignored
         text = "run.p_pair = 0.01\n%s = gauss\n" % key
         with pytest.raises(ParseError) as err:
             parse_config(text)
@@ -226,13 +228,14 @@ class TestCliSweeps:
         assert np.all(data["v_filtered"] >= data["v_open"] - 1e-12)
         assert np.all(np.diff(data["v_open"]) < 0)
 
-    def test_ppair_sweep_rejects_other_kind(self, tmp_path):
+    def test_ppair_sweep_rejects_other_kind(self, tmp_path, capsys):
         cfgp = tmp_path / "run.cfg"
         cfgp.write_text("sweep.kind = detuning\n")
         rc = cli.main(
             ["sweep-ppair", "--config", str(cfgp), "--out", str(tmp_path / "s")]
         )
         assert rc == 2
+        assert "unknown key 'sweep.kind'" in capsys.readouterr().err
 
     def test_detuning_sweep_hits_anchors(self, tmp_path):
         cfgp = tmp_path / "run.cfg"
@@ -417,6 +420,21 @@ class TestCliRateModel:
         assert occ_1 == occ_2 == 2 * (2 * n + 1)
         assert grids_1 == grids_2 == 3
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_detuning_sweep_builds_row_raman_pieces_once(self, rows, tmp_path,
+                                                         count_calls):
+        n = 41
+        occ = count_calls("thermal_occupation", visibility)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("numerics.n_points = %d\nsweep.delta_points = %d\n"
+                        % (n, rows))
+        rc = cli.main(["sweep-detuning", "--config", str(cfgp),
+                       "--out", str(tmp_path / "d")])
+        assert rc == 0
+        # one emission grid of 2n + 1 nodes per band and row, shared by
+        # the row's two saturation probes
+        assert len(occ) == rows * 2 * (2 * n + 1)
+
 
 class TestCliCalibrate:
     def test_writes_table_and_prints_ratio(self, tmp_path, capsys):
@@ -459,6 +477,24 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "cmd_modes", boom)
         rc = cli.main(["modes", "--out", str(tmp_path / "x")])
         assert rc == 3
+
+    def test_unsaturated_probe_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(visibility, "PROBE_TOL", 1e-12)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(QUICK)
+        rc = cli.main(["sweep-detuning", "--config", str(cfgp),
+                       "--out", str(tmp_path / "d")])
+        assert rc == 3
+        assert "saturated visibility not converged" in capsys.readouterr().err
+
+    def test_pair_probability_past_perturbative_bound(self, tmp_path, capsys):
+        # p_pair = 0.8 needs q = 0.101, past Q_MAX = 0.1
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("run.p_pair = 0.8\n")
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "exceeds the perturbative bound 0.1" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "modes.csv").exists()
 
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):

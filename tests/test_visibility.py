@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from modematch import sfwm, visibility
+from modematch import filters, sfwm, visibility
 from modematch.errors import DomainError, NumericalError
 from modematch.filters import (
     SearchSpace,
@@ -24,13 +24,13 @@ from modematch.sfwm import (
 )
 from modematch.units import detuning_to_angular
 from modematch.visibility import (
+    RateModel,
     coincidence_term,
     evaluate_operating_point,
     key_fraction,
     pair_term,
     qber_from_visibility,
     raman_term,
-    rate_model,
     saturated_visibility_filtered,
     saturated_visibility_open,
     tpi_visibility,
@@ -241,12 +241,11 @@ class TestSaturatedVisibility:
         got = saturated_visibility_filtered(params, raman, ideal_matched_filter)
         assert got == pytest.approx(0.950388, abs=5e-4)
 
-    def test_probe_consistency_guard(self, setup):
+    def test_probe_consistency_guard(self, setup, monkeypatch):
         params, raman, _, _ = setup
+        monkeypatch.setattr(visibility, "PROBE_TOL", 1e-12)
         with pytest.raises(NumericalError):
-            saturated_visibility_filtered(
-                params, raman, ideal_matched_filter, rich_tol=1e-12
-            )
+            saturated_visibility_filtered(params, raman, ideal_matched_filter)
 
     def test_visibility_falls_with_pump_power(self, setup):
         params, raman, _, _ = setup
@@ -313,32 +312,24 @@ def all_rates(fm, params, raman, model=None):
 class TestRateModel:
     @pytest.mark.parametrize("n", [41, 101])
     def test_rates_equal_one_shot_bit_for_bit(self, setup, n):
-        base, raman, _, _ = setup
-        model = None
+        base, table, _, _ = setup
+        # one model serves every band center, gain table and q of a band
+        # grid; without one, each call builds a fresh model
+        model = RateModel(make_band_grid(base.b_sigma, n))
         for center_nm in (10.0, 7.0, 13.0):
             source = base.with_band_center(detuning_to_angular(center_nm, 1538.7))
-            # later band centers reuse the first model's band grid pieces
-            model = rate_model(source, raman, n, base=model)
-            for p_pair in (1e-3, 0.01, 0.03):
-                params = params_for_pair_probability(source, p_pair)
-                dec = sfwm_modes(params, raman, n_points=n)
-                shared = sfwm_modes(params, raman, n_points=n, model=model)
-                assert np.array_equal(shared.eigenvalues, dec.eigenvalues)
-                assert np.array_equal(shared.modes, dec.modes)
-                many = practical_filter(dec.grid, 2, 6.0, 2.0)
-                assert many.significant().size >= 10
-                for fm in (ideal_matched_filter(shared), many):
-                    assert (all_rates(fm, params, raman, model)
-                            == all_rates(fm, params, raman))
-
-    def test_base_must_share_the_band_grid(self, setup):
-        params, raman, _, _ = setup
-        model = rate_model(params, raman, 41)
-        with pytest.raises(DomainError):
-            rate_model(params, raman, 43, base=model)
-        wider = ExperimentParams(band_width=1.2 * params.band_width)
-        with pytest.raises(DomainError):
-            rate_model(wider, raman, 41, base=model)
+            for raman in (table, 0.05):
+                for p_pair in (1e-3, 0.01, 0.03):
+                    params = params_for_pair_probability(source, p_pair)
+                    dec = sfwm_modes(params, raman, n_points=n)
+                    shared = sfwm_modes(params, raman, n_points=n, model=model)
+                    assert np.array_equal(shared.eigenvalues, dec.eigenvalues)
+                    assert np.array_equal(shared.modes, dec.modes)
+                    many = practical_filter(dec.grid, 2, 6.0, 2.0)
+                    assert many.significant().size >= 10
+                    for fm in (ideal_matched_filter(shared), many):
+                        assert (all_rates(fm, params, raman, model)
+                                == all_rates(fm, params, raman))
 
     def test_fixed_filter_saturates_like_a_constant_map(self, setup):
         params, raman, _, _ = setup
@@ -358,7 +349,7 @@ class TestRateModel:
 
     def test_rejects_a_filter_on_another_grid(self, setup):
         params, raman, _, _ = setup
-        model = rate_model(params, raman, 41)
+        model = RateModel(make_band_grid(params.b_sigma, 41))
         fm = practical_filter(make_band_grid(params.b_sigma, 43), 2, 3.68, 0.35)
         with pytest.raises(DomainError):
             pair_term(fm, params, model=model)
@@ -368,20 +359,13 @@ class TestRateModel:
             coincidence_term(fm, fm, params, raman, model=model)
         with pytest.raises(DomainError):
             sfwm_modes(params, raman, n_points=43, model=model)
-
-    def test_rejects_another_source_or_gain_ratio(self, setup):
-        params, raman, _, _ = setup
-        model = rate_model(params, raman, 41)
-        fm = practical_filter(model.grid, 2, 3.68, 0.35)
-        moved = params.with_band_center(detuning_to_angular(9.0, 1538.7))
+        wider = RateModel(make_band_grid(1.2 * params.b_sigma, 41))
         with pytest.raises(DomainError):
-            pair_term(fm, moved, model=model)
+            sfwm_modes(params, raman, n_points=41, model=wider)
+        # the two arms of a coincidence share one grid, model or not
+        on_41 = practical_filter(model.grid, 2, 3.68, 0.35)
         with pytest.raises(DomainError):
-            raman_term(fm, params, "anti", 2.0 * model.ratio, model=model)
-        # another q, and the ratio as a bare number, are the same source
-        stronger = params.with_q(2.0 * params.q)
-        assert (raman_term(fm, stronger, "anti", model.ratio, model=model)
-                == raman_term(fm, stronger, "anti", raman))
+            coincidence_term(on_41, fm, params, raman)
 
     def test_reads_but_never_writes_caller_arrays(self, setup):
         params, raman, _, _ = setup
@@ -393,12 +377,12 @@ class TestRateModel:
         saved = [a.copy() for a in (kernel, grid.weights, fm.modes)]
         # a write to any of them would raise ValueError
         decompose_kernel(kernel, grid)
-        model = rate_model(params, raman, 41)
+        model = RateModel(grid)
         evaluate_operating_point(params, raman, fm, fm, model=model)
         for a, b in zip((kernel, grid.weights, fm.modes), saved):
             assert np.array_equal(a, b)
         held = (model.pair, *model.sum_gaussians,
-                *(w_occ for _, w_occ in model.emission.values()))
+                *(model.emission(params, band)[1] for band in visibility.BANDS))
         assert not any(a.flags.writeable for a in held)
 
     def test_search_occupations_independent_of_evaluations(self, setup,
@@ -406,7 +390,7 @@ class TestRateModel:
         params, raman, _, _ = setup
         n = 41
         occ = count_calls("thermal_occupation", visibility)
-        grids = count_calls("make_band_grid", visibility, sfwm)
+        grids = count_calls("make_band_grid", visibility, sfwm, filters)
         evals = count_calls("evaluate_operating_point", visibility)
         counts = []
         for orders in ((2,), (2, 4)):
