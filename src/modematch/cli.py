@@ -6,7 +6,8 @@ byte-identical outputs. Floats are written as %.6e with LF line endings
 and each file carries its resolved configuration in '#' header lines.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 numerical
-failure (a convergence check did not pass).
+failure (a convergence check did not pass; no command runs such a check
+at present).
 """
 
 from __future__ import annotations
@@ -60,20 +61,22 @@ def _fwhm(nodes, values):
 
 
 def _filter_for(cfg, params, raman):
-    """The configured filter as (filter, filter_resolved label).
+    """The configured filter as (filter, filter_resolved label, model).
 
     filter is None for the open filter, whose rates have closed forms;
     ``ideal_matched_filter``, which maps each pair decomposition to the
     FilterModes applied on both arms; or, for practical and optimized
-    filters, one FilterModes that ignores the decomposition, built once
-    on the band grid that every decomposition of this config uses.
+    filters, one FilterModes that ignores the decomposition. model is the
+    command's RateModel on the band grid that the filter and every pair
+    decomposition of this config use, or None for the open filter.
     """
     kind = cfg.filter_kind
     if kind == "open":
-        return None, "open"
+        return None, "open", None
     if kind == "ideal-matched":
-        return ideal_matched_filter, "ideal-matched"
-    if kind == "practical":
+        fm, label = ideal_matched_filter, "ideal-matched"
+        grid = make_band_grid(params.b_sigma, cfg.n_points)
+    elif kind == "practical":
         order, width, shutter = cfg.filter_order, cfg.filter_width_sigma, cfg.shutter_t_sigma
         grid = make_band_grid(params.b_sigma, cfg.n_points)
         fm = practical_filter(grid, order, width, shutter)
@@ -82,17 +85,17 @@ def _filter_for(cfg, params, raman):
     else:
         result = optimize_filter(params, raman, to_search_space(cfg),
                                  n_points=cfg.n_points)
-        fm = result.filter
+        fm, grid = result.filter, result.filter.grid
         label = ("optimized order=%d width=%.6e shutter_t=%.6e objective=%s"
                  % (result.order, result.width, result.shutter_t, cfg.objective))
-    return fm, label
+    return fm, label, RateModel(grid)
 
 
 def cmd_modes(cfg, out_dir, args):
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    filt, label = _filter_for(cfg, params, raman)
-    decomp = sfwm_modes(params, raman, n_points=cfg.n_points)
+    filt, label, model = _filter_for(cfg, params, raman)
+    decomp = sfwm_modes(params, raman, n_points=cfg.n_points, model=model)
     psi0 = decomp.modes[:, 0]
     psi1 = decomp.modes[:, 1]
     header = list(resolved_items(cfg))
@@ -131,9 +134,7 @@ def _ppair_grid(cfg):
 def cmd_sweep_ppair(cfg, out_dir, args):
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    filt, label = _filter_for(cfg, params, raman)
-    model = None if filt is None else RateModel(make_band_grid(params.b_sigma,
-                                                               cfg.n_points))
+    filt, label, model = _filter_for(cfg, params, raman)
     rows = []
     for p in _ppair_grid(cfg):
         params_p = params_for_pair_probability(params, float(p))
@@ -165,9 +166,7 @@ def cmd_sweep_ppair(cfg, out_dir, args):
 def cmd_sweep_detuning(cfg, out_dir, args):
     params = to_params(cfg)
     raman = to_raman(cfg, params)
-    filt, label = _filter_for(cfg, params, raman)
-    model = None if filt is None else RateModel(make_band_grid(params.b_sigma,
-                                                               cfg.n_points))
+    filt, label, model = _filter_for(cfg, params, raman)
     deltas = np.linspace(cfg.delta_min_nm, cfg.delta_max_nm, cfg.delta_points)
     rows = []
     for delta_nm in deltas:

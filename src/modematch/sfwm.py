@@ -36,10 +36,6 @@ from .units import C_LIGHT, detuning_to_angular, thermal_occupation
 # Above this the second-order truncation of the pair amplitude is unsafe.
 Q_MAX = 0.1
 
-# calibrate_raman stops once the saturated visibility is this close to
-# its target.
-CALIBRATION_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ExperimentParams:
@@ -198,6 +194,15 @@ def band_coincidence_integral(b_sigma):
     return (math.exp(-b * b / 2.0) - 1.0) + math.sqrt(math.pi / 2.0) * b * math.erf(b / math.sqrt(2.0))
 
 
+def _raman_noise_factor(params):
+    """b^2 n+ n- / geometry, which sets 1/V - 1 = r^2 times this factor in
+    the zero-power open-filter limit."""
+    b = params.b_sigma
+    n_anti = thermal_occupation(+params.band_center, params.temperature_k)
+    n_stokes = thermal_occupation(-params.band_center, params.temperature_k)
+    return b**2 * n_anti * n_stokes / band_coincidence_integral(b)
+
+
 def saturated_open_visibility(params, raman_ratio):
     """Zero-pump-power limit of the unfiltered visibility.
 
@@ -205,18 +210,15 @@ def saturated_open_visibility(params, raman_ratio):
     V -> 1 / (1 + r^2 b^2 n+ n- / geometry). Monotone decreasing in the
     gain ratio, which makes it invertible for calibration.
     """
-    b = params.b_sigma
-    n_anti = thermal_occupation(+params.band_center, params.temperature_k)
-    n_stokes = thermal_occupation(-params.band_center, params.temperature_k)
-    geom = band_coincidence_integral(b)
-    return 1.0 / (1.0 + raman_ratio**2 * b**2 * n_anti * n_stokes / geom)
+    return 1.0 / (1.0 + raman_ratio**2 * _raman_noise_factor(params))
 
 
 def calibrate_raman(target_v_sat, detuning_rad_s, params):
     """Gain ratio r that reproduces a zero-power visibility at a detuning.
 
-    Bisection on the closed-form saturated visibility, which is strictly
-    monotone in r. A target of exactly 1 corresponds to no Raman noise.
+    The inverse of ``saturated_open_visibility`` in closed form,
+    r = sqrt((1/V - 1) geometry / (b^2 n+ n-)); a target of exactly 1
+    gives r = 0, no Raman noise. Raises InfeasibleError past r = 10.
     """
     if not (0.0 < target_v_sat <= 1.0):
         raise DomainError("target saturated visibility must lie in (0, 1]")
@@ -224,22 +226,11 @@ def calibrate_raman(target_v_sat, detuning_rad_s, params):
         raise DomainError("calibration detuning must be positive")
     if detuning_rad_s - params.band_width / 2.0 <= 0:
         raise DomainError("calibration band touches the pump")
-    if target_v_sat == 1.0:
-        return 0.0
     trial = params.with_band_center(detuning_rad_s)
-    lo, hi = 0.0, 10.0
-    if saturated_open_visibility(trial, hi) > target_v_sat:
-        raise InfeasibleError("target visibility unreachable within r <= %g" % hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        v = saturated_open_visibility(trial, mid)
-        if abs(v - target_v_sat) <= CALIBRATION_TOL:
-            return mid
-        if v > target_v_sat:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    r = math.sqrt((1.0 / target_v_sat - 1.0) / _raman_noise_factor(trial))
+    if r > 10.0:
+        raise InfeasibleError("target visibility unreachable within r <= 10")
+    return r
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
-from .numerics import TWO_PI, make_band_grid
+from .errors import DomainError
+from .numerics import TWO_PI, decompose_kernel, make_band_grid
 from .sfwm import (_xi_from_gaussians, band_coincidence_integral,
-                   gain_ratio, saturated_open_visibility, sfwm_modes,
+                   gain_ratio, saturated_open_visibility,
                    unfiltered_pair_probability)
 from .units import binary_entropy, thermal_occupation
 
@@ -38,10 +38,6 @@ RAMAN_PAD_SIGMA = 6.0
 # Pump-side padding of the Raman integration grid stops this many pump
 # widths short of the carrier, where the thermal model diverges.
 PUMP_MARGIN_SIGMA = 1.0
-
-PROBE_Q = 1e-4
-CHECK_Q = PROBE_Q / 2.0
-PROBE_TOL = 1e-3
 
 DEFAULT_F_EC = 1.22
 
@@ -330,31 +326,23 @@ def evaluate_operating_point(params, raman, fm_stokes, fm_anti,
 
 def saturated_visibility_filtered(params, raman, make_filter, n_points=201,
                                   model=None):
-    """Filtered visibility in the zero-power limit.
+    """Filtered visibility in the zero-power limit, exact.
 
-    Evaluates at the probe gain PROBE_Q and verifies against the
-    half-gain probe CHECK_Q (Richardson-style consistency); disagreement
-    beyond PROBE_TOL means the probe has not reached the Raman-dominated
-    plateau and raises NumericalError. make_filter maps a mode
-    decomposition to the FilterModes applied on both arms, or is a
-    FilterModes on the n_points band grid, applied as it is without a
-    decomposition. ``model`` is the command's RateModel on that grid,
-    built here when not given.
+    As q -> 0 the coincidences and pair rates scale as q^2 and the Raman
+    rates as q, so V -> C0 / (C0 + 2 R_s R_a), with C0 the coincidence
+    rate of the leading amplitude exp(-(w+w')^2/4). That ratio does not
+    depend on q, so any q of ``params`` gives the same value.
+    make_filter maps a mode decomposition to the FilterModes applied on
+    both arms, and is given the decomposition of that leading amplitude,
+    whose modes are the limit's pair modes; or it is a FilterModes on the
+    n_points band grid, applied as it is. ``model`` is the command's
+    RateModel on that grid, built here when not given.
     """
     if model is None:
         model = RateModel(make_band_grid(params.b_sigma, n_points))
-
-    def v_at(q_val):
-        p = params.with_q(q_val)
-        if callable(make_filter):
-            fm = make_filter(sfwm_modes(p, raman, n_points=n_points, model=model))
-        else:
-            fm = make_filter
-        return evaluate_operating_point(p, raman, fm, fm, model=model).visibility
-
-    v1 = v_at(PROBE_Q)
-    v2 = v_at(CHECK_Q)
-    if abs(v1 - v2) > PROBE_TOL:
-        raise NumericalError(
-            "saturated visibility not converged: %.6f vs %.6f" % (v1, v2))
-    return v1
+    fm = (make_filter(decompose_kernel(model.sum_gaussians[0], model.grid))
+          if callable(make_filter) else make_filter)
+    c = coincidence_term(fm, fm, params, raman, leading_only=True, model=model)
+    r_s = raman_term(fm, params, "stokes", raman, model=model)
+    r_a = raman_term(fm, params, "anti", raman, model=model)
+    return tpi_visibility(c, 0.0, 0.0, r_s, r_a)

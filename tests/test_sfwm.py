@@ -166,10 +166,10 @@ class TestCalibration:
 
     def test_roundtrip_through_visibility(self):
         p = ExperimentParams()
-        for target in (0.5, 0.9, 0.99):
+        for target in (0.5, 0.9, 0.99, 1.0, 0.96, 0.82, 0.71):
             r = calibrate_raman(target, p.band_center, p)
             assert saturated_open_visibility(p, r) == pytest.approx(
-                target, abs=1e-9
+                target, abs=1e-14
             )
 
     def test_more_noise_needed_for_lower_visibility(self):
@@ -197,6 +197,11 @@ class TestCalibration:
         p = ExperimentParams()
         with pytest.raises(InfeasibleError):
             calibrate_raman(1e-6, p.band_center, p)
+        # r = 10 is the largest gain ratio a calibration returns
+        v_10 = saturated_open_visibility(p, 10.0)
+        with pytest.raises(InfeasibleError):
+            calibrate_raman(v_10 * (1.0 - 1e-9), p.band_center, p)
+        assert calibrate_raman(v_10 * (1.0 + 1e-9), p.band_center, p) <= 10.0
 
 
 class TestRamanModel:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from modematch import filters, sfwm, visibility
-from modematch.errors import DomainError, NumericalError
+from modematch.errors import DomainError
 from modematch.filters import (
     SearchSpace,
     ideal_matched_filter,
@@ -241,11 +241,42 @@ class TestSaturatedVisibility:
         got = saturated_visibility_filtered(params, raman, ideal_matched_filter)
         assert got == pytest.approx(0.950388, abs=5e-4)
 
-    def test_probe_consistency_guard(self, setup, monkeypatch):
+    @pytest.fixture(params=["ideal-matched", "practical"])
+    def limit(self, request, setup):
+        """(params, raman, filter, V(q)) at n = 41 for one filter."""
         params, raman, _, _ = setup
-        monkeypatch.setattr(visibility, "PROBE_TOL", 1e-12)
-        with pytest.raises(NumericalError):
-            saturated_visibility_filtered(params, raman, ideal_matched_filter)
+        filt = (ideal_matched_filter if request.param == "ideal-matched"
+                else practical_filter(make_band_grid(params.b_sigma, 41),
+                                      2, 3.68, 0.35))
+
+        def v_at(q):
+            p = params.with_q(q)
+            fm = filt(sfwm_modes(p, raman, n_points=41)) if callable(filt) else filt
+            return evaluate_operating_point(p, raman, fm, fm).visibility
+
+        return params, raman, filt, v_at
+
+    def test_limit_independent_of_q(self, limit):
+        params, raman, filt, _ = limit
+        low, high = (saturated_visibility_filtered(params.with_q(q), raman, filt, 41)
+                     for q in (1e-4, 0.05))
+        assert low == pytest.approx(high, rel=1e-14)
+
+    def test_gap_to_operating_point_falls_linearly(self, limit):
+        params, raman, filt, v_at = limit
+        v_sat = saturated_visibility_filtered(params, raman, filt, 41)
+        gaps = [v_sat - v_at(q) for q in (1e-4, 1e-5, 1e-6)]
+        for ratio in (gaps[0] / gaps[1], gaps[1] / gaps[2]):
+            assert 9.9 <= ratio <= 10.1
+
+    def test_matches_richardson_extrapolation(self, limit):
+        params, raman, filt, v_at = limit
+        v_sat = saturated_visibility_filtered(params, raman, filt, 41)
+        assert abs(2.0 * v_at(5e-7) - v_at(1e-6) - v_sat) <= 1e-9
+
+    def test_no_raman_gives_unit_visibility(self, limit):
+        params, _, filt, _ = limit
+        assert saturated_visibility_filtered(params, 0.0, filt, 41) == 1.0
 
     def test_visibility_falls_with_pump_power(self, setup):
         params, raman, _, _ = setup

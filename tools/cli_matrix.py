@@ -1,12 +1,21 @@
 """Run every CLI command over a fixed matrix of configs and keep all output.
 
     python3 tools/cli_matrix.py SRC OUT
+    python3 tools/cli_matrix.py --compare OUT_A OUT_B
 
 SRC is a ``src`` directory holding the ``modematch`` package; OUT is a
 new directory. Each run gets its own OUT/<source>-<filter>-<command>
 directory with the files the command wrote plus ``exit_code.txt``,
 ``stdout.txt`` and ``stderr.txt``. Two trees give the same results when
 ``diff -r`` finds no difference between their OUT directories.
+
+``--compare`` reads two such OUT directories. For each run, file and
+numeric column it prints how many values changed, the largest |delta|
+and the largest relative delta; it prints every changed line that is
+not numeric (headers, column names, exit codes, stdout and stderr text)
+and every file only one side has. A numeric line is a CSV data row,
+read under the column names above it, or a ``key = number`` line,
+read as column ``key``. It exits 1 when anything differs.
 
 The matrix is ``modes``, ``sweep-ppair``, ``sweep-detuning``,
 ``optimize`` and ``calibrate --target-v 0.8 --delta-nm 9``, under each
@@ -66,9 +75,81 @@ def run_one(cli, config_path, out_dir, command, extra):
     return code
 
 
+def numeric_fields(line, columns):
+    """(column, value) pairs of a numeric line, or None for a text line."""
+    if line.startswith("#"):
+        return None
+    key, eq, value = line.partition(" = ")
+    names, fields = ([key], [value]) if eq else (columns, line.split(","))
+    try:
+        values = [float(v) for v in fields]
+    except ValueError:
+        return None
+    return list(zip(names, values)) if len(names) == len(values) else None
+
+
+def compare_file(path_a, path_b):
+    """Per-column (count, max |delta|, max relative delta) and changed text."""
+    with open(path_a, encoding="ascii") as fa, open(path_b, encoding="ascii") as fb:
+        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
+    stats, text = {}, []
+    columns = []
+    for lineno in range(max(len(lines_a), len(lines_b))):
+        a = lines_a[lineno] if lineno < len(lines_a) else None
+        b = lines_b[lineno] if lineno < len(lines_b) else None
+        fields_a = None if a is None else numeric_fields(a, columns)
+        fields_b = None if b is None else numeric_fields(b, columns)
+        if (fields_a is None or fields_b is None
+                or [k for k, _ in fields_a] != [k for k, _ in fields_b]):
+            if a != b:
+                text.append((lineno + 1, a, b))
+            if a is not None and not a.startswith("#") and fields_a is None:
+                columns = a.split(",")
+            continue
+        for (name, va), (_, vb) in zip(fields_a, fields_b):
+            if va == vb:
+                continue
+            delta = abs(va - vb)
+            count, big, rel = stats.get(name, (0, 0.0, 0.0))
+            stats[name] = (count + 1, max(big, delta),
+                           max(rel, delta / max(abs(va), abs(vb))))
+    return stats, text
+
+
+def compare(dir_a, dir_b):
+    """Print what differs between two OUT trees; True when nothing does."""
+    same = True
+    runs = sorted(set(os.listdir(dir_a)) | set(os.listdir(dir_b)))
+    for run in runs:
+        run_a, run_b = os.path.join(dir_a, run), os.path.join(dir_b, run)
+        if not (os.path.isdir(run_a) and os.path.isdir(run_b)):
+            if os.path.isdir(run_a) or os.path.isdir(run_b):
+                print("%s: only in %s" % (run, dir_a if os.path.isdir(run_a) else dir_b))
+                same = False
+            continue
+        for name in sorted(set(os.listdir(run_a)) | set(os.listdir(run_b))):
+            path_a, path_b = os.path.join(run_a, name), os.path.join(run_b, name)
+            where = "%s/%s" % (run, name)
+            if not (os.path.exists(path_a) and os.path.exists(path_b)):
+                print("%s: only in %s" % (where, dir_a if os.path.exists(path_a) else dir_b))
+                same = False
+                continue
+            stats, text = compare_file(path_a, path_b)
+            for column, (count, big, rel) in stats.items():
+                print("%s %s: %d changed, max |delta| %.3e, max rel %.3e"
+                      % (where, column, count, big, rel))
+            for lineno, a, b in text:
+                print("%s line %d: %r -> %r" % (where, lineno, a, b))
+            same = same and not stats and not text
+    print("identical" if same else "differ")
+    return same
+
+
 def main(argv):
+    if len(argv) == 3 and argv[0] == "--compare":
+        sys.exit(0 if compare(argv[1], argv[2]) else 1)
     if len(argv) != 2:
-        sys.exit("usage: cli_matrix.py SRC OUT")
+        sys.exit("usage: cli_matrix.py SRC OUT | cli_matrix.py --compare OUT_A OUT_B")
     src, out = (os.path.abspath(a) for a in argv)
     sys.path.insert(0, src)
     from modematch import cli
