@@ -31,7 +31,8 @@ from .sfwm import (RamanModel, calibrate_raman, params_for_pair_probability,
 from .units import detuning_to_angular
 from .visibility import (RateModel, evaluate_operating_point, key_fraction,
                          qber_from_visibility, saturated_visibility_filtered,
-                         saturated_visibility_open, visibility_open)
+                         saturated_visibility_open, visibility_open,
+                         zero_power_filter)
 
 PUMP_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -141,7 +142,7 @@ def cmd_sweep_ppair(cfg, out_dir, args):
         v_open = visibility_open(params_p, raman)
         e_open = qber_from_visibility(v_open)
         k_open = key_fraction(e_open, float(p), f_ec=cfg.f_ec,
-                              apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis)
+                              q_basis=cfg.q_basis)
         if filt is None:
             v_f, e_f, k_f = v_open, e_open, k_open
         else:
@@ -149,8 +150,7 @@ def cmd_sweep_ppair(cfg, out_dir, args):
                                   model=model))
                   if callable(filt) else filt)
             report = evaluate_operating_point(
-                params_p, raman, fm, fm, f_ec=cfg.f_ec,
-                apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis,
+                params_p, raman, fm, fm, f_ec=cfg.f_ec, q_basis=cfg.q_basis,
                 model=model)
             v_f, e_f, k_f = report.visibility, report.qber, report.key_fraction
         rows.append((float(p), v_open, e_open, k_open, v_f, e_f, k_f))
@@ -167,6 +167,8 @@ def cmd_sweep_detuning(cfg, out_dir, args):
     params = to_params(cfg)
     raman = to_raman(cfg, params)
     filt, label, model = _filter_for(cfg, params, raman)
+    # the zero-power filter depends on the band grid, not the detuning
+    filt = zero_power_filter(filt, model)
     deltas = np.linspace(cfg.delta_min_nm, cfg.delta_max_nm, cfg.delta_points)
     rows = []
     for delta_nm in deltas:
@@ -197,8 +199,7 @@ def cmd_optimize(cfg, out_dir, args):
     result = optimize_filter(params, raman, to_search_space(cfg),
                              n_points=cfg.n_points)
     qber = qber_from_visibility(result.achieved_v)
-    key = key_fraction(qber, cfg.p_pair, f_ec=cfg.f_ec,
-                       apply_q_basis=cfg.apply_q_basis, q_basis=cfg.q_basis)
+    key = key_fraction(qber, cfg.p_pair, f_ec=cfg.f_ec, q_basis=cfg.q_basis)
     report_path = os.path.join(out_dir, "filter_report.txt")
     with open(report_path, "w", encoding="ascii", newline="") as fh:
         _write_header(fh, resolved_items(cfg))

@@ -1,9 +1,9 @@
 """Run configuration: flat ``key = value`` files with defaults.
 
 An empty file (or no file) reproduces the reference dispersion-shifted
-fiber source: gamma = 1.6 /W/km, L = 0.3 km, T = 300 K, pump at
-1538.7 nm with 0.5 nm spectral width, bands of width 5 nm centered
-10 nm from the pump, and a per-pulse pair probability of 0.01. Unknown
+fiber source: T = 300 K, pump at 1538.7 nm with 0.5 nm spectral width,
+bands of width 5 nm centered 10 nm from the pump, and the gain
+q = gamma L A0^2 set for a per-pulse pair probability of 0.01. Unknown
 keys, duplicates and malformed values are reported with line numbers.
 """
 
@@ -67,8 +67,6 @@ def _opt_float(text):
 
 @dataclass(frozen=True)
 class RunConfig:
-    gamma: float = 1.6
-    length_km: float = 0.3
     temperature_k: float = 300.0
     pump_wavelength_nm: float = 1538.7
     sigma_nm: float = 0.5
@@ -95,15 +93,12 @@ class RunConfig:
     delta_max_nm: float = 14.0
     delta_points: int = 10
     f_ec: float = 1.22
-    apply_q_basis: bool = False
-    q_basis: float = 0.5
+    q_basis: float = 1.0
     output_dir: str = "out"
 
 
 # dotted config key -> (dataclass field, value parser)
 KEYMAP = {
-    "fiber.gamma": ("gamma", _float),
-    "fiber.length_km": ("length_km", _float),
     "fiber.temperature_k": ("temperature_k", _float),
     "pump.wavelength_nm": ("pump_wavelength_nm", _float),
     "pump.sigma_nm": ("sigma_nm", _float),
@@ -131,7 +126,6 @@ KEYMAP = {
     "sweep.delta_max_nm": ("delta_max_nm", _float),
     "sweep.delta_points": ("delta_points", _int),
     "qkd.f_ec": ("f_ec", _float),
-    "qkd.apply_q_basis": ("apply_q_basis", _bool),
     "qkd.q_basis": ("q_basis", _float),
     "output.dir": ("output_dir", _str),
 }
@@ -141,7 +135,8 @@ def parse_config(text):
     """Parse configuration text into a RunConfig."""
     values = {}
     seen = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -211,11 +206,10 @@ def resolved_items(cfg):
 def to_params(cfg):
     """Experiment parameters at the configured operating point."""
     base = ExperimentParams.from_nm(
-        gamma=cfg.gamma, length_km=cfg.length_km,
         temperature_k=cfg.temperature_k,
         pump_wavelength_nm=cfg.pump_wavelength_nm,
         sigma_nm=cfg.sigma_nm, band_center_nm=cfg.band_center_nm,
-        band_width_nm=cfg.band_width_nm, peak_power_w=1e-9)
+        band_width_nm=cfg.band_width_nm)
     return params_for_pair_probability(base, cfg.p_pair)
 
 

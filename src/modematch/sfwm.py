@@ -41,40 +41,32 @@ Q_MAX = 0.1
 class ExperimentParams:
     """Source and band geometry in physical units.
 
-    gamma: fiber nonlinearity, 1/(W km)
-    length_km: interaction length, km
+    q: dimensionless gain gamma L A0^2 (nonlinearity, interaction
+        length and pump peak power enter only through this product)
     temperature_k: fiber temperature, K
     pump_wavelength_nm: pump carrier wavelength, nm
     sigma: pump amplitude spectral width, rad/s
     band_center: detuning of the collection band centers, rad/s (> 0;
         the Stokes band sits at -band_center by symmetry)
     band_width: full collection bandwidth per band, rad/s
-    peak_power_w: pump peak power, W
     """
 
-    gamma: float = 1.6
-    length_km: float = 0.3
+    q: float = 0.01
     temperature_k: float = 300.0
     pump_wavelength_nm: float = 1538.7
     sigma: float = detuning_to_angular(0.5, 1538.7)
     band_center: float = detuning_to_angular(10.0, 1538.7)
     band_width: float = detuning_to_angular(5.0, 1538.7)
-    peak_power_w: float = 0.01 / 1.6 / 0.3
 
     def __post_init__(self):
-        for name in ("gamma", "length_km", "temperature_k", "pump_wavelength_nm",
-                     "sigma", "band_center", "band_width", "peak_power_w"):
+        for name in ("q", "temperature_k", "pump_wavelength_nm",
+                     "sigma", "band_center", "band_width"):
             if getattr(self, name) <= 0:
                 raise DomainError("%s must be positive" % name)
         if self.band_center - self.band_width / 2.0 <= 0:
             raise DomainError("collection band touches the pump")
         if self.q >= Q_MAX:
             raise DomainError("q = %.3g exceeds the perturbative bound %.2g" % (self.q, Q_MAX))
-
-    @property
-    def q(self):
-        """Dimensionless parametric gain gamma * L * A0^2."""
-        return self.gamma * self.length_km * self.peak_power_w
 
     @property
     def b_sigma(self):
@@ -91,17 +83,14 @@ class ExperimentParams:
         return 2.0 * math.pi * C_LIGHT / (self.pump_wavelength_nm * 1e-9)
 
     @classmethod
-    def from_nm(cls, gamma, length_km, temperature_k, pump_wavelength_nm,
-                sigma_nm, band_center_nm, band_width_nm, peak_power_w):
+    def from_nm(cls, temperature_k, pump_wavelength_nm, sigma_nm,
+                band_center_nm, band_width_nm):
         return cls(
-            gamma=gamma,
-            length_km=length_km,
             temperature_k=temperature_k,
             pump_wavelength_nm=pump_wavelength_nm,
             sigma=detuning_to_angular(sigma_nm, pump_wavelength_nm),
             band_center=detuning_to_angular(band_center_nm, pump_wavelength_nm),
             band_width=detuning_to_angular(band_width_nm, pump_wavelength_nm),
-            peak_power_w=peak_power_w,
         )
 
     @classmethod
@@ -110,9 +99,7 @@ class ExperimentParams:
         return params_for_pair_probability(cls(), p_pair)
 
     def with_q(self, q):
-        if q <= 0:
-            raise DomainError("q must be positive")
-        return replace(self, peak_power_w=q / (self.gamma * self.length_km))
+        return replace(self, q=q)
 
     def with_band_center(self, band_center_rad_s):
         return replace(self, band_center=band_center_rad_s)
@@ -176,7 +163,7 @@ def unfiltered_pair_probability(params):
 
 
 def params_for_pair_probability(params, p_pair):
-    """Adjust peak power so the unfiltered pair probability equals p_pair."""
+    """Adjust the gain q so the unfiltered pair probability equals p_pair."""
     if p_pair <= 0:
         raise DomainError("pair probability must be positive")
     q = math.sqrt(p_pair / (math.sqrt(2.0 * math.pi) * math.pi * params.b_sigma))

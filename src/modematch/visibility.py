@@ -227,12 +227,11 @@ def qber_from_visibility(v):
     return (1.0 - v) / 2.0
 
 
-def key_fraction(qber, p_pair, f_ec=DEFAULT_F_EC, apply_q_basis=False,
-                 q_basis=0.5):
+def key_fraction(qber, p_pair, f_ec=DEFAULT_F_EC, q_basis=1.0):
     """Asymptotic secure key per pulse, floored at zero.
 
-    p_pair (1 - f_ec H2(e) - H2(e)), optionally scaled by the basis
-    sifting factor when apply_q_basis is set.
+    q_basis p_pair (1 - f_ec H2(e) - H2(e)), where q_basis is the basis
+    sifting factor (1: no sifting loss).
     """
     if p_pair < 0:
         raise DomainError("pair probability must be nonnegative")
@@ -240,8 +239,7 @@ def key_fraction(qber, p_pair, f_ec=DEFAULT_F_EC, apply_q_basis=False,
         raise DomainError("error-correction inefficiency below the Shannon limit")
     h = binary_entropy(qber)
     rate = 1.0 - f_ec * h - h
-    sift = q_basis if apply_q_basis else 1.0
-    return p_pair * sift * max(0.0, rate)
+    return p_pair * q_basis * max(0.0, rate)
 
 
 @dataclass(frozen=True)
@@ -301,8 +299,7 @@ class VisibilityReport:
 
 
 def evaluate_operating_point(params, raman, fm_stokes, fm_anti,
-                             f_ec=DEFAULT_F_EC, apply_q_basis=False,
-                             q_basis=0.5, model=None):
+                             f_ec=DEFAULT_F_EC, q_basis=1.0, model=None):
     """Full rate budget and derived figures for a filtered source.
 
     ``model`` is the command's RateModel, passed on to every rate;
@@ -317,8 +314,7 @@ def evaluate_operating_point(params, raman, fm_stokes, fm_anti,
     v = tpi_visibility(c, s_s, s_a, r_s, r_a)
     e = qber_from_visibility(v)
     p_pair = unfiltered_pair_probability(params)
-    key = key_fraction(e, p_pair, f_ec=f_ec, apply_q_basis=apply_q_basis,
-                       q_basis=q_basis)
+    key = key_fraction(e, p_pair, f_ec=f_ec, q_basis=q_basis)
     return VisibilityReport(p_pair=p_pair, s_stokes=s_s, s_anti=s_a,
                             r_stokes=r_s, r_anti=r_a, coincidence=c,
                             visibility=v, qber=e, key_fraction=key)
@@ -332,17 +328,23 @@ def saturated_visibility_filtered(params, raman, make_filter, n_points=201,
     rates as q, so V -> C0 / (C0 + 2 R_s R_a), with C0 the coincidence
     rate of the leading amplitude exp(-(w+w')^2/4). That ratio does not
     depend on q, so any q of ``params`` gives the same value.
-    make_filter maps a mode decomposition to the FilterModes applied on
-    both arms, and is given the decomposition of that leading amplitude,
-    whose modes are the limit's pair modes; or it is a FilterModes on the
-    n_points band grid, applied as it is. ``model`` is the command's
+    make_filter is a FilterModes on the n_points band grid or a map to
+    one, resolved by ``zero_power_filter``. ``model`` is the command's
     RateModel on that grid, built here when not given.
     """
     if model is None:
         model = RateModel(make_band_grid(params.b_sigma, n_points))
-    fm = (make_filter(decompose_kernel(model.sum_gaussians[0], model.grid))
-          if callable(make_filter) else make_filter)
+    fm = zero_power_filter(make_filter, model)
     c = coincidence_term(fm, fm, params, raman, leading_only=True, model=model)
     r_s = raman_term(fm, params, "stokes", raman, model=model)
     r_a = raman_term(fm, params, "anti", raman, model=model)
     return tpi_visibility(c, 0.0, 0.0, r_s, r_a)
+
+
+def zero_power_filter(make_filter, model):
+    """make_filter itself, or, for a map such as ideal_matched_filter, its
+    FilterModes for the leading amplitude exp(-(w+w')^2/4) on the model's
+    band grid, whose modes are the zero-power limit's pair modes."""
+    if not callable(make_filter):
+        return make_filter
+    return make_filter(decompose_kernel(model.sum_gaussians[0], model.grid))

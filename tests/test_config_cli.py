@@ -1,10 +1,15 @@
 """Config parsing, validation, and the command-line entry points."""
 
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
 
 from modematch import cli, sfwm, visibility
 from modematch.config import (
+    KEYMAP,
     RunConfig,
     load_config,
     parse_config,
@@ -59,8 +64,22 @@ class TestParseConfig:
 
     def test_bad_value_reports_line(self):
         with pytest.raises(ParseError) as err:
-            parse_config("fiber.gamma = fast\n")
+            parse_config("fiber.temperature_k = fast\n")
         assert err.value.line == 1
+
+    @pytest.mark.parametrize("text, line", [
+        ("fiber.temperature_k = 300.0\v\nbogus = 1\n", 2),
+        ("fiber.temperature_k = 300.0\f\nbogus = 1\n", 2),
+        ("fiber.temperature_k = 300.0\x1e\nbogus = 1\n", 2),
+        ("run.p_pair = 0.01\r\n\r\nbogus = 1", 3),
+        ("run.p_pair = 0.01\r\rbogus = 1", 3),
+    ], ids=["VT", "FF", "RS", "CRLF", "CR"])
+    def test_line_numbers_count_only_line_feeds(self, text, line):
+        # as in read_ascii and the gain-table reader, only LF (after CRLF
+        # and CR become LF) ends a line
+        with pytest.raises(ParseError) as err:
+            parse_config(text)
+        assert err.value.line == line
 
     def test_missing_equals_reports_line(self):
         with pytest.raises(ParseError) as err:
@@ -90,11 +109,13 @@ class TestParseConfig:
             parse_config("filter.t_min_sigma = 0.2\n")
 
     @pytest.mark.parametrize("key", ["numerics.rule", "numerics.padding_sigma",
-                                     "sweep.kind"])
+                                     "sweep.kind", "fiber.gamma",
+                                     "fiber.length_km", "qkd.apply_q_basis"])
     def test_removed_numerics_keys_rejected(self, key, tmp_path):
-        # every band grid is Gauss-Legendre with a fixed emission pad, and
-        # each sweep is its own command, so no key may be accepted and
-        # then ignored
+        # every band grid is Gauss-Legendre with a fixed emission pad, each
+        # sweep is its own command, the fiber enters only through the gain
+        # that run.p_pair sets, and qkd.q_basis always applies, so no key
+        # may be accepted and then ignored
         text = "run.p_pair = 0.01\n%s = gauss\n" % key
         with pytest.raises(ParseError) as err:
             parse_config(text)
@@ -109,9 +130,8 @@ class TestParseConfig:
         cfg = RunConfig()
         items = resolved_items(cfg)
         keys = [k for k, _ in items]
-        assert len(keys) == len(set(keys))
-        assert "fiber.gamma" in keys
-        assert "output.dir" in keys
+        assert sorted(keys) == sorted(KEYMAP)
+        assert len(keys) == 28
         # deterministic ordering
         assert items == resolved_items(RunConfig())
 
@@ -152,6 +172,12 @@ class TestConfigConversion:
         assert space.width_lo == 1.0
         assert space.width_hi == 5.0
         assert space.objective == "visibility"
+
+    def test_gain_is_the_closed_form(self):
+        cfg = parse_config("pump.sigma_nm = 0.45\nrun.p_pair = 0.02\n")
+        params = to_params(cfg)
+        q = math.sqrt(0.02 / (math.sqrt(2.0 * math.pi) * math.pi * params.b_sigma))
+        assert params.q == q
 
     def test_load_config_from_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -397,9 +423,9 @@ class TestCliRateModel:
                 assert rc == 0
             counts[kind] = (len(decomposed), len(leading))
         # ideal-matched decomposes the pair amplitude at each of the 3
-        # p_pair rows and the leading amplitude once at each of the 2
-        # detuning rows; a fixed filter never decomposes
-        assert counts == {"practical": (0, 0), "ideal-matched": (3, 2)}
+        # p_pair rows and the leading amplitude once for all detuning
+        # rows; a fixed filter never decomposes
+        assert counts == {"practical": (0, 0), "ideal-matched": (3, 1)}
 
     @pytest.mark.parametrize("command", ["sweep-ppair", "sweep-detuning"])
     def test_practical_sweep_builds_one_band_grid(self, command, tmp_path,
@@ -507,7 +533,7 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("text", [
         "run.p_pair = nan\n",
-        "fiber.gamma = 1.6\nfiber.length_km = inf\n",
+        pytest.param("qkd.f_ec = 2\nqkd.q_basis = inf\n", id="q_basis-inf"),
         "filter.t_min_sigma = 0.2\nfilter.t_max_sigma = -inf\n",
     ])
     def test_non_finite_config_value(self, text, tmp_path, capsys):
@@ -558,3 +584,90 @@ class TestCliDeterminism:
         a = (tmp_path / "a" / "modes.csv").read_bytes()
         b = (tmp_path / "b" / "modes.csv").read_bytes()
         assert a == b
+
+
+# one witness per config key: (the key's alternative values, filter.kind,
+# command) such that the command's output differs from the same run
+# without them; the two shutter bounds are only valid together
+WITNESSES = [
+    ({"fiber.temperature_k": "310.0"}, "open", "calibrate"),
+    ({"pump.wavelength_nm": "1550.0"}, "open", "sweep-detuning"),
+    ({"pump.sigma_nm": "0.45"}, "ideal-matched", "modes"),
+    ({"band.center_nm": "12.0"}, "open", "sweep-ppair"),
+    ({"band.width_nm": "4.0"}, "ideal-matched", "modes"),
+    ({"run.p_pair": "0.02"}, "ideal-matched", "modes"),
+    ({"numerics.n_points": "51"}, "ideal-matched", "modes"),
+    ({"raman.source": "TABLE"}, "ideal-matched", "sweep-detuning"),
+    ({"filter.kind": "practical"}, "ideal-matched", "sweep-ppair"),
+    ({"filter.order": "4"}, "practical", "modes"),
+    ({"filter.width_sigma": "3.0"}, "practical", "modes"),
+    ({"filter.shutter_t_sigma": "0.5"}, "practical", "modes"),
+    ({"filter.objective": "visibility"}, "optimize", "optimize"),
+    ({"filter.orders": "4"}, "optimize", "optimize"),
+    ({"filter.width_min_sigma": "4.0"}, "optimize", "optimize"),
+    ({"filter.width_max_sigma": "3.0"}, "optimize", "optimize"),
+    ({"filter.t_min_sigma": "0.2", "filter.t_max_sigma": "0.5"},
+     "optimize", "optimize"),
+    ({"sweep.p_min": "0.001"}, "open", "sweep-ppair"),
+    ({"sweep.p_max": "0.03"}, "open", "sweep-ppair"),
+    ({"sweep.points": "4"}, "open", "sweep-ppair"),
+    ({"sweep.log": "false"}, "open", "sweep-ppair"),
+    ({"sweep.delta_min_nm": "6.0"}, "open", "sweep-detuning"),
+    ({"sweep.delta_max_nm": "12.0"}, "open", "sweep-detuning"),
+    ({"sweep.delta_points": "3"}, "open", "sweep-detuning"),
+    ({"qkd.f_ec": "1.5"}, "ideal-matched", "sweep-ppair"),
+    ({"qkd.q_basis": "0.5"}, "ideal-matched", "sweep-ppair"),
+    ({"output.dir": "elsewhere"}, "open", "modes"),
+]
+
+WITNESS_BASE = {"numerics.n_points": "41", "filter.orders": "2",
+                "sweep.points": "3", "sweep.delta_points": "2"}
+
+WITNESS_ARGS = {"calibrate": ["--target-v", "0.8", "--delta-nm", "9"]}
+
+
+class TestEveryKeyChangesAResult:
+    """Every config key changes what some command writes (files under the
+    run directory, header lines excluded) or prints."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("witness")
+        table = root / "gain.csv"
+        table.write_text("detuning_thz,gain_ratio\n0.5,0.01\n2.0,0.05\n")
+        done = {}
+
+        def result(settings, command):
+            text = "".join("%s = %s\n" % (key, str(table) if value == "TABLE" else value)
+                           for key, value in settings.items())
+            if (text, command) not in done:
+                run_dir = root / ("run%d" % len(done))
+                run_dir.mkdir()
+                cfgp = root / ("run%d.cfg" % len(done))
+                cfgp.write_text(text)
+                # no --out, so output.dir decides where the files go
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.chdir(run_dir)
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        rc = cli.main([command, "--config", str(cfgp)]
+                                      + WITNESS_ARGS.get(command, []))
+                assert rc == 0
+                files = {str(p.relative_to(run_dir)):
+                         [l for l in p.read_text().splitlines() if not l.startswith("#")]
+                         for p in sorted(run_dir.rglob("*")) if p.is_file()}
+                done[text, command] = (files, out.getvalue())
+            return done[text, command]
+
+        return result
+
+    @pytest.mark.parametrize("witness, kind, command", WITNESSES,
+                             ids=["+".join(w) for w, _, _ in WITNESSES])
+    def test_key_changes_output(self, run, witness, kind, command):
+        base = dict(WITNESS_BASE, **{"filter.kind": kind})
+        assert run(dict(base, **witness), command) != run(base, command)
+
+    def test_every_key_has_a_witness(self):
+        keys = [key for witness, _, _ in WITNESSES for key in witness]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(KEYMAP)

@@ -35,9 +35,17 @@ class TestExperimentParams:
         assert p.b_sigma == pytest.approx(10.0, rel=1e-12)
         assert p.b0_sigma == pytest.approx(20.0, rel=1e-12)
 
-    def test_q_definition(self):
-        p = ExperimentParams(peak_power_w=0.05)
-        assert p.q == pytest.approx(1.6 * 0.3 * 0.05, rel=1e-14)
+    def test_fields_are_the_gain_and_geometry(self):
+        # the fiber and pump enter only through q = gamma L A0^2
+        names = [f.name for f in dataclasses.fields(ExperimentParams)]
+        assert names == ["q", "temperature_k", "pump_wavelength_nm", "sigma",
+                         "band_center", "band_width"]
+        assert ExperimentParams().q == 0.01
+
+    def test_with_q_is_exact(self):
+        p = ExperimentParams()
+        for q in (1e-7, 0.015118766132302846, 0.0999):
+            assert p.with_q(q).q == q
 
     def test_tuned_pair_rate(self):
         p = ExperimentParams.at_pair_rate(0.01)
@@ -74,10 +82,11 @@ class TestExperimentParams:
             p.with_q(1.5 * Q_MAX)
 
     def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(DomainError):
-            ExperimentParams(gamma=-1.6)
-        with pytest.raises(DomainError):
-            ExperimentParams(length_km=0.0)
+        for q in (-0.01, 0.0):
+            with pytest.raises(DomainError, match="q must be positive"):
+                ExperimentParams(q=q)
+            with pytest.raises(DomainError, match="q must be positive"):
+                ExperimentParams().with_q(q)
         with pytest.raises(DomainError):
             ExperimentParams(temperature_k=-4.0)
 

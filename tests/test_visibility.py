@@ -219,7 +219,8 @@ class TestQberAndKey:
 
     def test_basis_sifting(self):
         full = key_fraction(0.06, 0.01)
-        half = key_fraction(0.06, 0.01, apply_q_basis=True)
+        assert key_fraction(0.06, 0.01, q_basis=1.0) == full
+        half = key_fraction(0.06, 0.01, q_basis=0.5)
         assert half == pytest.approx(0.5 * full, rel=1e-12)
 
     def test_rejects_bad_inputs(self):

@@ -9,13 +9,16 @@ directory with the files the command wrote plus ``exit_code.txt``,
 ``stdout.txt`` and ``stderr.txt``. Two trees give the same results when
 ``diff -r`` finds no difference between their OUT directories.
 
-``--compare`` reads two such OUT directories. For each run, file and
-numeric column it prints how many values changed, the largest |delta|
-and the largest relative delta; it prints every changed line that is
-not numeric (headers, column names, exit codes, stdout and stderr text)
-and every file only one side has. A numeric line is a CSV data row,
-read under the column names above it, or a ``key = number`` line,
-read as column ``key``. It exits 1 when anything differs.
+``--compare`` reads two such OUT directories. It reads each file's
+``# key = value`` header lines as a key -> value map and prints every
+header key that was added, removed or changed. It compares the rest of
+the file, the body, line by line: for each run, file and numeric column
+it prints how many values changed, the largest |delta| and the largest
+relative delta; it prints every changed body line that is not numeric
+(column names, exit codes, stdout and stderr text) and every file only
+one side has. A numeric line is a CSV data row, read under the column
+names above it, or a ``key = number`` line, read as column ``key``. It
+exits 1 when anything differs.
 
 The matrix is ``modes``, ``sweep-ppair``, ``sweep-detuning``,
 ``optimize`` and ``calibrate --target-v 0.8 --delta-nm 9``, under each
@@ -36,9 +39,8 @@ COMMON = "numerics.n_points = 101\nfilter.orders = 2,4\n"
 
 SOURCES = {
     "default": "",
-    "perturbed": ("fiber.length_km = 0.35\nfiber.temperature_k = 310.0\n"
-                  "band.center_nm = 8.5\npump.sigma_nm = 0.45\n"
-                  "run.p_pair = 0.02\n"),
+    "perturbed": ("fiber.temperature_k = 310.0\nband.center_nm = 8.5\n"
+                  "pump.sigma_nm = 0.45\nrun.p_pair = 0.02\n"),
 }
 
 FILTERS = {
@@ -88,10 +90,29 @@ def numeric_fields(line, columns):
     return list(zip(names, values)) if len(names) == len(values) else None
 
 
-def compare_file(path_a, path_b):
+def read_output(path):
+    """(header key -> value, body lines) of one output file."""
+    header, body = {}, []
+    with open(path, encoding="ascii") as fh:
+        for line in fh.read().splitlines():
+            key, eq, value = line[2:].partition(" = ")
+            if line.startswith("# ") and eq and not body:
+                header[key] = value
+            else:
+                body.append(line)
+    return header, body
+
+
+def compare_header(header_a, header_b):
+    """(key, value_a, value_b) for each header key added, removed or
+    changed; a missing side is None."""
+    keys = list(header_a) + [k for k in header_b if k not in header_a]
+    return [(k, header_a.get(k), header_b.get(k)) for k in keys
+            if header_a.get(k) != header_b.get(k)]
+
+
+def compare_body(lines_a, lines_b):
     """Per-column (count, max |delta|, max relative delta) and changed text."""
-    with open(path_a, encoding="ascii") as fa, open(path_b, encoding="ascii") as fb:
-        lines_a, lines_b = fa.read().splitlines(), fb.read().splitlines()
     stats, text = {}, []
     columns = []
     for lineno in range(max(len(lines_a), len(lines_b))):
@@ -134,13 +155,20 @@ def compare(dir_a, dir_b):
                 print("%s: only in %s" % (where, dir_a if os.path.exists(path_a) else dir_b))
                 same = False
                 continue
-            stats, text = compare_file(path_a, path_b)
+            header_a, body_a = read_output(path_a)
+            header_b, body_b = read_output(path_b)
+            keys = compare_header(header_a, header_b)
+            for key, a, b in keys:
+                change = ("added %r" % b if a is None else "removed %r" % a
+                          if b is None else "%r -> %r" % (a, b))
+                print("%s header %s: %s" % (where, key, change))
+            stats, text = compare_body(body_a, body_b)
             for column, (count, big, rel) in stats.items():
                 print("%s %s: %d changed, max |delta| %.3e, max rel %.3e"
                       % (where, column, count, big, rel))
             for lineno, a, b in text:
-                print("%s line %d: %r -> %r" % (where, lineno, a, b))
-            same = same and not stats and not text
+                print("%s body line %d: %r -> %r" % (where, lineno, a, b))
+            same = same and not keys and not stats and not text
     print("identical" if same else "differ")
     return same
 
