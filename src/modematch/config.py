@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, ParseError, read_ascii
-from .filters import SearchSpace
+from .filters import SearchSpace, check_profile
 from .sfwm import (ExperimentParams, default_raman_model, load_raman_table,
                    params_for_pair_probability)
 
@@ -182,6 +182,9 @@ def _validate(cfg):
         raise DomainError("qkd.f_ec must be at least 1")
     if (cfg.t_min_sigma is None) != (cfg.t_max_sigma is None):
         raise DomainError("set both filter.t_min_sigma and filter.t_max_sigma or neither")
+    # every filter key is checked whichever command or filter.kind runs
+    check_profile(cfg.filter_width_sigma, cfg.filter_order)
+    to_search_space(cfg)
 
 
 def _format_value(value):

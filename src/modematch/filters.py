@@ -31,10 +31,8 @@ from .units import C_LIGHT
 
 LN2 = math.log(2.0)
 
-# Nelder-Mead iteration cap per run, and the seed-simplex scales of the
-# first run and of its restart from the first run's best point.
+# Nelder-Mead iteration cap per mask order.
 MAX_ITER = 200
-SIMPLEX_SCALES = (1.0, 0.1)
 
 # Eigenvalue clamps: tiny excursions outside [0, 1] are quadrature
 # roundoff and are snapped; anything larger is a real physicality bug.
@@ -58,11 +56,10 @@ class SpectralProfile:
         object.__setattr__(self, "values", np.clip(vals, 0.0, 1.0))
 
 
-def super_gaussian(grid, width, order):
-    """Flat-top mask h(w) = exp(-(w/width)^order / 2), even order.
+def check_profile(width, order):
+    """Reject a mask width or order that super_gaussian cannot build.
 
-    order 2 is a plain Gaussian; higher even orders square off the top
-    and steepen the skirts at fixed width.
+    The width must be positive and the order even, from 2 to 20.
     """
     if width <= 0:
         raise DomainError("profile width must be positive")
@@ -70,6 +67,15 @@ def super_gaussian(grid, width, order):
         raise DomainError("profile order must be a positive even integer")
     if order > 20:
         raise DomainError("profile order above 20 is not supported")
+
+
+def super_gaussian(grid, width, order):
+    """Flat-top mask h(w) = exp(-(w/width)^order / 2), even order.
+
+    order 2 is a plain Gaussian; higher even orders square off the top
+    and steepen the skirts at fixed width.
+    """
+    check_profile(width, order)
     values = np.exp(-0.5 * (grid.nodes / width) ** order)
     return SpectralProfile(grid=grid, values=values)
 
@@ -203,8 +209,10 @@ class SearchSpace:
             raise DomainError("invalid shutter box")
         if self.shutter_t <= 0:
             raise DomainError("shutter FWHM must be positive")
-        if not self.orders or any(o < 2 or o % 2 for o in self.orders):
-            raise DomainError("orders must be positive even integers")
+        if not self.orders:
+            raise DomainError("no mask order to search")
+        for order in self.orders:
+            check_profile(self.width_lo, order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,9 +245,10 @@ class FilterSearchResult:
 def optimize_filter(params, raman, search=None, n_points=201):
     """Search the practical-filter family for the best single-mode filter.
 
-    Runs Nelder-Mead per mask order from a fixed seed simplex (capped
-    iterations, one restart from the best point) and keeps the best
-    order. Deterministic for fixed inputs.
+    Runs one Nelder-Mead search per mask order, bounded by the search
+    box and started from its midpoint, and keeps the best order; the
+    first order wins a tie. evaluations and converged describe the
+    winning order's run. Deterministic for fixed inputs.
     """
     from scipy import optimize as _sopt
 
@@ -255,12 +264,14 @@ def optimize_filter(params, raman, search=None, n_points=201):
     psi0 = decomp.modes[:, 0]
     search_t = search.t_lo is not None
 
+    bounds = [(search.width_lo, search.width_hi)]
+    if search_t:
+        bounds.append((search.t_lo, search.t_hi))
+    x0 = [0.5 * (lo + hi) for lo, hi in bounds]
+
     def build(order, x):
-        width = float(np.clip(x[0], search.width_lo, search.width_hi))
-        if search_t:
-            t = float(np.clip(x[1], search.t_lo, search.t_hi))
-        else:
-            t = search.shutter_t
+        width = float(x[0])
+        t = float(x[1]) if search_t else search.shutter_t
         return width, t, practical_filter(grid, order, width, t)
 
     def objective(x, order):
@@ -272,27 +283,12 @@ def optimize_filter(params, raman, search=None, n_points=201):
 
     best = None
     for order in search.orders:
-        x0 = [0.5 * (search.width_lo + search.width_hi)]
-        steps = [max(1e-3, (search.width_hi - search.width_lo) / 5.0)]
-        if search_t:
-            x0.append(0.5 * (search.t_lo + search.t_hi))
-            steps.append(max(1e-3, (search.t_hi - search.t_lo) / 5.0))
-        x = np.array(x0)
-        pick, evals = None, 0
-        for scale in SIMPLEX_SCALES:
-            simplex = np.vstack([x] + [x + scale * s * e
-                                       for s, e in zip(steps, np.eye(len(x)))])
-            res = _sopt.minimize(
-                objective, x, args=(order,), method="Nelder-Mead",
-                options=dict(initial_simplex=simplex, maxiter=MAX_ITER,
-                             xatol=1e-6, fatol=1e-12))
-            evals += res.nfev
-            if pick is None or res.fun <= pick.fun:
-                pick = res
-            x = res.x
-        cand = (float(pick.fun), order, pick.x.copy(), bool(pick.success), int(evals))
-        if best is None or cand[0] < best[0]:
-            best = cand
+        # scipy clips every trial point into the bounds before evaluating it
+        res = _sopt.minimize(objective, x0, args=(order,), method="Nelder-Mead",
+                             bounds=bounds,
+                             options=dict(maxiter=MAX_ITER, xatol=1e-6, fatol=1e-12))
+        if best is None or res.fun < best[0]:
+            best = (float(res.fun), order, res.x, bool(res.success), int(res.nfev))
     fun, order, x, converged, evals = best
     width, shutter_t, fm = build(order, x)
     report = evaluate_operating_point(params, raman, fm, fm, model=model)
@@ -319,9 +315,7 @@ def export_filter_profile(path, params, order, width, shutter_t, header_items=()
     h = np.exp(-0.5 * (x / width) ** order)
     omega_abs = params.pump_omega + (params.b0_sigma + x) * params.sigma
     wavelength_nm = 2.0 * math.pi * C_LIGHT / omega_abs * 1e9
-    att_db = np.where(h < 10 ** (-ATTENUATION_CAP_DB / 20.0),
-                      ATTENUATION_CAP_DB, -20.0 * np.log10(np.maximum(h, 1e-300)))
-    att_db = np.minimum(att_db, ATTENUATION_CAP_DB)
+    att_db = np.minimum(-20.0 * np.log10(np.maximum(h, 1e-300)), ATTENUATION_CAP_DB)
     shutter_ps = shutter_t / params.sigma * 1e12
     with open(path, "w", encoding="ascii", newline="") as fh:
         for key, value in header_items:

@@ -527,6 +527,24 @@ class TestCliErrors:
         assert "exceeds the perturbative bound 0.1" in capsys.readouterr().err
         assert not (tmp_path / "m" / "modes.csv").exists()
 
+    @pytest.mark.parametrize("text", [
+        "filter.shutter_t_sigma = -2\n",
+        "filter.order = 3\n",
+        "filter.order = 22\n",
+        "filter.width_sigma = 0\n",
+        "filter.width_min_sigma = -1\n",
+        "filter.t_min_sigma = 5\nfilter.t_max_sigma = 1\n",
+        "filter.orders = 3,5\n",
+        "filter.orders = 22\n",
+    ])
+    def test_bad_filter_value_rejected_by_every_command(self, text, tmp_path):
+        # the default filter.kind uses none of these keys
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(text)
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert not (tmp_path / "m" / "modes.csv").exists()
+
     def test_usage_error_raises_system_exit(self):
         with pytest.raises(SystemExit):
             cli.main(["no-such-command"])

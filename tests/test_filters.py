@@ -272,6 +272,8 @@ class TestSearchSpace:
         with pytest.raises(DomainError):
             SearchSpace(orders=(3,))
         with pytest.raises(DomainError):
+            SearchSpace(orders=(22,))
+        with pytest.raises(DomainError):
             SearchSpace(orders=())
 
 
@@ -291,20 +293,48 @@ class TestOptimizeFilter:
         assert res.evaluations > 0
 
     def test_improves_on_box_midpoint(self):
-        search = SearchSpace(orders=(2,), width_lo=2.0, width_hi=9.0)
-        res = optimize_filter(self.params, self.raman, search, n_points=101)
-        mid = 0.5 * (search.width_lo + search.width_hi)
         dec = sfwm_modes(self.params, self.raman, n_points=101)
-        fm = practical_filter(dec.grid, 2, mid, search.shutter_t)
-        seed_overlap = abs(mode_overlap(fm.modes[:, 0], dec.modes[:, 0], dec.grid))
-        assert res.objective_value >= seed_overlap - 1e-12
+        # the fixed shutter, then the shutter searched over 0.2-1.5
+        for t_lo, t_hi in ((None, None), (0.2, 1.5)):
+            search = SearchSpace(orders=(2,), width_lo=2.0, width_hi=9.0,
+                                 t_lo=t_lo, t_hi=t_hi)
+            res = optimize_filter(self.params, self.raman, search, n_points=101)
+            mid = 0.5 * (search.width_lo + search.width_hi)
+            t_mid = search.shutter_t if t_lo is None else 0.5 * (t_lo + t_hi)
+            fm = practical_filter(dec.grid, 2, mid, t_mid)
+            seed_overlap = abs(mode_overlap(fm.modes[:, 0], dec.modes[:, 0], dec.grid))
+            assert res.objective_value >= seed_overlap - 1e-12
+
+    @pytest.mark.parametrize("objective", ["mode-match", "visibility"])
+    @pytest.mark.parametrize("t_box", [None, (0.5, 0.6)], ids=["1d", "2d"])
+    def test_never_evaluates_outside_the_box(self, objective, t_box, monkeypatch):
+        # the box excludes the unbounded optimum of either objective, so
+        # a search without bounds steps out of it
+        t_lo, t_hi = t_box or (None, None)
+        search = SearchSpace(orders=(2,), width_lo=4.0, width_hi=6.0,
+                             t_lo=t_lo, t_hi=t_hi, objective=objective)
+        seen = []
+
+        def spy(grid, order, width, shutter_t):
+            seen.append((width, shutter_t))
+            return practical_filter(grid, order, width, shutter_t)
+
+        monkeypatch.setattr(filters, "practical_filter", spy)
+        res = optimize_filter(self.params, self.raman, search, n_points=61)
+        widths, shutters = np.array(seen).T
+        assert len(seen) == res.evaluations + 1
+        assert np.all((widths >= 4.0) & (widths <= 6.0))
+        if t_box is None:
+            assert np.all(shutters == search.shutter_t)
+        else:
+            assert np.all((shutters >= t_lo) & (shutters <= t_hi))
 
     def test_visibility_objective_rides_width_floor(self):
         search = SearchSpace(
             orders=(2,), width_lo=1.5, width_hi=6.0, objective="visibility"
         )
         res = optimize_filter(self.params, self.raman, search, n_points=81)
-        assert res.width < 1.7
+        assert res.width == search.width_lo
         match = optimize_filter(
             self.params,
             self.raman,

@@ -22,10 +22,12 @@ exits 1 when anything differs.
 
 The matrix is ``modes``, ``sweep-ppair``, ``sweep-detuning``,
 ``optimize`` and ``calibrate --target-v 0.8 --delta-nm 9``, under each
-``filter.kind`` and under ``filter.kind = optimize`` with the
-``visibility`` objective, for the default source and a perturbed one,
-at ``numerics.n_points = 101`` and ``filter.orders = 2,4``. Commands run
-in this one process with one BLAS thread.
+``filter.kind``, under ``filter.kind = optimize`` with the
+``visibility`` objective and under ``filter.kind = optimize`` with the
+shutter searched over 0.2-1.5 sigma^-1 along with the mask width, for
+the default source and a perturbed one, at ``numerics.n_points = 101``
+and ``filter.orders = 2,4``. Commands run in this one process with one
+BLAS thread.
 """
 
 import contextlib
@@ -49,6 +51,8 @@ FILTERS = {
     "practical": "filter.kind = practical\n",
     "optimize": "filter.kind = optimize\n",
     "optimize-visibility": "filter.kind = optimize\nfilter.objective = visibility\n",
+    "optimize-shutter": ("filter.kind = optimize\nfilter.t_min_sigma = 0.2\n"
+                         "filter.t_max_sigma = 1.5\n"),
 }
 
 COMMANDS = {
