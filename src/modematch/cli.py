@@ -6,8 +6,8 @@ byte-identical outputs. Floats are written as %.6e with LF line endings
 and each file carries its resolved configuration in '#' header lines.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 numerical
-failure (a convergence check did not pass; no command runs such a check
-at present).
+failure: a filter kernel's pass probability left [0, 1], which for a
+valid mask and shutter means too few nodes (raise numerics.n_points).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,42 +62,41 @@ def _fwhm(nodes, values):
     return float(right - left)
 
 
-def _filter_for(cfg, params, raman):
-    """The configured filter as (filter, filter_resolved label, model).
+def resolve(cfg):
+    """(params, raman, model, filt, label, search), each built once.
 
-    filter is None for the open filter, whose rates have closed forms;
-    ``ideal_matched_filter``, which maps each pair decomposition to the
-    FilterModes applied on both arms; or, for practical and optimized
-    filters, one FilterModes that ignores the decomposition. model is the
-    command's RateModel on the band grid that the filter and every pair
-    decomposition of this config use, or None for the open filter.
+    model is the RateModel on the n-node band grid of the filter and of
+    every pair decomposition. filt is None for the open filter, whose
+    rates have closed forms; ``ideal_matched_filter``, which maps each
+    pair decomposition to the FilterModes applied on both arms; or one
+    practical or optimized FilterModes. label is the filter_resolved
+    value; search is the FilterSearchResult, or None.
     """
-    kind = cfg.filter_kind
-    if kind == "open":
-        return None, "open", None
+    params = to_params(cfg)
+    raman = to_raman(cfg, params)
+    model = RateModel(make_band_grid(params.b_sigma, cfg.n_points))
+    kind = label = cfg.filter_kind
+    filt = search = None
     if kind == "ideal-matched":
-        fm, label = ideal_matched_filter, "ideal-matched"
-        grid = make_band_grid(params.b_sigma, cfg.n_points)
+        filt = ideal_matched_filter
     elif kind == "practical":
         order, width, shutter = cfg.filter_order, cfg.filter_width_sigma, cfg.shutter_t_sigma
-        grid = make_band_grid(params.b_sigma, cfg.n_points)
-        fm = practical_filter(grid, order, width, shutter)
+        filt = practical_filter(model.grid, order, width, shutter)
         label = ("practical order=%d width=%s shutter_t=%s"
                  % (order, repr(width), repr(shutter)))
-    else:
-        result = optimize_filter(params, raman, to_search_space(cfg),
-                                 n_points=cfg.n_points)
-        fm, grid = result.filter, result.filter.grid
+    elif kind == "optimize":
+        search = optimize_filter(params, raman, to_search_space(cfg),
+                                 n_points=cfg.n_points, model=model)
+        filt = search.filter
         label = ("optimized order=%d width=%.6e shutter_t=%.6e objective=%s"
-                 % (result.order, result.width, result.shutter_t, cfg.objective))
-    return fm, label, RateModel(grid)
+                 % (search.order, search.width, search.shutter_t, cfg.objective))
+    return params, raman, model, filt, label, search
 
 
 def cmd_modes(cfg, out_dir, args):
-    params = to_params(cfg)
-    raman = to_raman(cfg, params)
-    filt, label, model = _filter_for(cfg, params, raman)
-    decomp = sfwm_modes(params, raman, n_points=cfg.n_points, model=model)
+    params, raman, model, filt, label, search = resolve(cfg)
+    decomp = (search.decomposition if search is not None
+              else sfwm_modes(params, raman, n_points=cfg.n_points, model=model))
     psi0 = decomp.modes[:, 0]
     psi1 = decomp.modes[:, 1]
     header = list(resolved_items(cfg))
@@ -133,9 +133,7 @@ def _ppair_grid(cfg):
 
 
 def cmd_sweep_ppair(cfg, out_dir, args):
-    params = to_params(cfg)
-    raman = to_raman(cfg, params)
-    filt, label, model = _filter_for(cfg, params, raman)
+    params, raman, model, filt, label, _ = resolve(cfg)
     rows = []
     for p in _ppair_grid(cfg):
         params_p = params_for_pair_probability(params, float(p))
@@ -164,9 +162,7 @@ def cmd_sweep_ppair(cfg, out_dir, args):
 
 
 def cmd_sweep_detuning(cfg, out_dir, args):
-    params = to_params(cfg)
-    raman = to_raman(cfg, params)
-    filt, label, model = _filter_for(cfg, params, raman)
+    params, raman, model, filt, label, _ = resolve(cfg)
     # the zero-power filter depends on the band grid, not the detuning
     filt = zero_power_filter(filt, model)
     deltas = np.linspace(cfg.delta_min_nm, cfg.delta_max_nm, cfg.delta_points)
@@ -194,10 +190,8 @@ def cmd_sweep_detuning(cfg, out_dir, args):
 
 
 def cmd_optimize(cfg, out_dir, args):
-    params = to_params(cfg)
-    raman = to_raman(cfg, params)
-    result = optimize_filter(params, raman, to_search_space(cfg),
-                             n_points=cfg.n_points)
+    # the header keeps the configured filter.kind
+    params, _, _, _, _, result = resolve(replace(cfg, filter_kind="optimize"))
     qber = qber_from_visibility(result.achieved_v)
     key = key_fraction(qber, cfg.p_pair, f_ec=cfg.f_ec, q_basis=cfg.q_basis)
     report_path = os.path.join(out_dir, "filter_report.txt")
@@ -277,8 +271,11 @@ def main(argv=None):
     except NumericalError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except (ParseError, DomainError, PhysicalityError, InfeasibleError,
-            OSError) as exc:
+    except PhysicalityError as exc:
+        print("error: %s; a larger numerics.n_points may resolve it" % exc,
+              file=sys.stderr)
+        return 3
+    except (ParseError, DomainError, InfeasibleError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return 0

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, PhysicalityError
-from .numerics import (TWO_PI, Grid, decompose_kernel, integrate,
-                       make_band_grid, mode_overlap)
+from .numerics import (TWO_PI, Grid, ModeDecomposition, decompose_kernel,
+                       integrate, make_band_grid, mode_overlap)
 from .sfwm import sfwm_modes
 from .units import C_LIGHT
 
@@ -227,6 +227,7 @@ class FilterSearchResult:
     filter: FilterModes
     converged: bool
     evaluations: int
+    decomposition: ModeDecomposition
 
     @property
     def chi0(self):
@@ -242,13 +243,15 @@ class FilterSearchResult:
         return self.filter.chi0 ** 2
 
 
-def optimize_filter(params, raman, search=None, n_points=201):
+def optimize_filter(params, raman, search=None, n_points=201, model=None):
     """Search the practical-filter family for the best single-mode filter.
 
     Runs one Nelder-Mead search per mask order, bounded by the search
     box and started from its midpoint, and keeps the best order; the
     first order wins a tie. evaluations and converged describe the
-    winning order's run. Deterministic for fixed inputs.
+    winning order's run, and decomposition is the pair decomposition
+    matched against. ``model`` is an optional RateModel on the n_points
+    band grid, as for sfwm_modes. Deterministic for fixed inputs.
     """
     from scipy import optimize as _sopt
 
@@ -256,11 +259,10 @@ def optimize_filter(params, raman, search=None, n_points=201):
 
     if search is None:
         search = SearchSpace()
-    # the mode-match search needs no rates; its one report builds its own
-    model = (RateModel(make_band_grid(params.b_sigma, n_points))
-             if search.objective == "visibility" else None)
+    if model is None:
+        model = RateModel(make_band_grid(params.b_sigma, n_points))
     decomp = sfwm_modes(params, raman, n_points=n_points, model=model)
-    grid = decomp.grid
+    grid = model.grid
     psi0 = decomp.modes[:, 0]
     search_t = search.t_lo is not None
 
@@ -297,7 +299,7 @@ def optimize_filter(params, raman, search=None, n_points=201):
         order=order, width=width, shutter_t=shutter_t,
         objective=search.objective, objective_value=-fun,
         achieved_v=report.visibility, overlap=overlap,
-        filter=fm, converged=converged, evaluations=evals)
+        filter=fm, converged=converged, evaluations=evals, decomposition=decomp)
 
 
 ATTENUATION_CAP_DB = 120.0

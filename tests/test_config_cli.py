@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from modematch import cli, sfwm, visibility
+from modematch import cli, filters, sfwm, visibility
 from modematch.config import (
     KEYMAP,
     RunConfig,
@@ -427,17 +427,35 @@ class TestCliRateModel:
         # rows; a fixed filter never decomposes
         assert counts == {"practical": (0, 0), "ideal-matched": (3, 1)}
 
-    @pytest.mark.parametrize("command", ["sweep-ppair", "sweep-detuning"])
-    def test_practical_sweep_builds_one_band_grid(self, command, tmp_path,
-                                                  count_calls):
-        grids = count_calls("make_band_grid", cli, sfwm, visibility)
+    @pytest.mark.parametrize("command", ["modes", "sweep-ppair",
+                                         "sweep-detuning", "optimize"])
+    @pytest.mark.parametrize("kind", ["open", "ideal-matched", "practical",
+                                      "optimize"])
+    def test_one_band_grid_and_rate_model(self, kind, command, tmp_path,
+                                          count_calls):
+        grids = count_calls("make_band_grid", cli, sfwm, visibility, filters)
+        models = count_calls("RateModel", cli, visibility)
         cfgp = tmp_path / "run.cfg"
-        cfgp.write_text(QUICK + "filter.kind = practical\n")
+        cfgp.write_text(QUICK + "filter.kind = %s\n" % kind)
         rc = cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / "s")])
         assert rc == 0
-        # the rate model is built on the filter's own grid, so its grid
-        # checks pass by identity; the other grids are Raman emission grids
+        # the filter, the search and every pair decomposition share the
+        # model's grid, so its grid checks pass by identity; the other
+        # grids are Raman emission grids
         assert [args[1] for args in grids].count(41) == 1
+        assert len(models) <= 1
+
+    @pytest.mark.parametrize("objective", ["mode-match", "visibility"])
+    def test_optimized_modes_decompose_the_pair_once(self, objective, tmp_path,
+                                                     count_calls):
+        decomposed = count_calls("sfwm_modes", cli, filters)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(QUICK + "filter.kind = optimize\nfilter.objective = %s\n"
+                        % objective)
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 0
+        # psi0 comes from the decomposition the search matched against
+        assert len(decomposed) == 1
 
     def test_ppair_sweep_builds_source_pieces_once(self, tmp_path, count_calls):
         n = 41
@@ -517,6 +535,19 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "cmd_modes", boom)
         rc = cli.main(["modes", "--out", str(tmp_path / "x")])
         assert rc == 3
+
+    def test_under_resolved_filter_kernel_exit_code(self, tmp_path, capsys):
+        # a valid mask and a 50 sigma^-1 shutter make a contraction, which
+        # 41 nodes resolve so poorly that a pass probability exceeds 1
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("numerics.n_points = 41\nfilter.kind = practical\n"
+                        "filter.shutter_t_sigma = 50\n")
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "pass probability 3.205993 > 1" in err
+        assert "a larger numerics.n_points may resolve it" in err
+        assert not (tmp_path / "m" / "modes.csv").exists()
 
     def test_pair_probability_past_perturbative_bound(self, tmp_path, capsys):
         # p_pair = 0.8 needs q = 0.101, past Q_MAX = 0.1

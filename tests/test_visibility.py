@@ -379,6 +379,27 @@ class TestRateModel:
                                             result.filter)
         assert result.achieved_v == one_shot.visibility
 
+    @pytest.mark.parametrize("objective", ["mode-match", "visibility"])
+    def test_search_unchanged_by_a_passed_model(self, setup, objective):
+        params, raman, _, _ = setup
+        search = SearchSpace(orders=(2,), objective=objective)
+        model = RateModel(make_band_grid(params.b_sigma, 41))
+        own = optimize_filter(params, raman, search, n_points=41)
+        shared = optimize_filter(params, raman, search, n_points=41, model=model)
+        for name in ("order", "width", "shutter_t", "objective_value", "overlap",
+                     "achieved_v", "evaluations", "converged"):
+            assert getattr(shared, name) == getattr(own, name), name
+        assert shared.filter.grid is model.grid
+        assert shared.decomposition.grid is model.grid
+
+    def test_search_rejects_a_model_on_another_grid(self, setup):
+        params, raman, _, _ = setup
+        search = SearchSpace(orders=(2,))
+        for width, n in ((params.b_sigma, 43), (1.2 * params.b_sigma, 41)):
+            model = RateModel(make_band_grid(width, n))
+            with pytest.raises(DomainError):
+                optimize_filter(params, raman, search, n_points=41, model=model)
+
     def test_rejects_a_filter_on_another_grid(self, setup):
         params, raman, _, _ = setup
         model = RateModel(make_band_grid(params.b_sigma, 41))
