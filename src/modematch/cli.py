@@ -2,8 +2,10 @@
 
 Every command reads one flat config file (all keys optional), writes to
 an output directory, and is deterministic: identical inputs produce
-byte-identical outputs. Floats are written as %.6e with LF line endings
-and each file carries its resolved configuration in '#' header lines.
+byte-identical outputs. Every file is written by ``write_output``, which
+owns the format: ASCII, LF line endings, '# key = value' header lines
+that start with the resolved configuration, then the body, with floats
+as %.6e and integers as %d.
 
 Exit codes: 0 success, 2 invalid configuration or usage, 3 numerical
 failure: a filter kernel's pass probability left [0, 1], which for a
@@ -20,15 +22,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (RunConfig, load_config, resolved_items, to_params,
-                     to_raman, to_search_space)
+from .config import (RunConfig, finite_float, load_config, resolved_items,
+                     to_params, to_raman, to_search_space)
 from .errors import (DomainError, InfeasibleError, NumericalError, ParseError,
                      PhysicalityError)
-from .filters import (export_filter_profile, ideal_matched_filter,
-                      optimize_filter, practical_filter)
+from .filters import (filter_profile, ideal_matched_filter, optimize_filter,
+                      practical_filter)
 from .numerics import make_band_grid, mode_overlap
-from .sfwm import (RamanModel, calibrate_raman, params_for_pair_probability,
-                   save_raman_table, sfwm_modes)
+from .sfwm import calibrate_raman, params_for_pair_probability, sfwm_modes
 from .units import detuning_to_angular
 from .visibility import (RateModel, evaluate_operating_point, key_fraction,
                          qber_from_visibility, saturated_visibility_filtered,
@@ -38,9 +39,27 @@ from .visibility import (RateModel, evaluate_operating_point, key_fraction,
 PUMP_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
-def _write_header(fh, items):
-    for key, value in items:
-        fh.write("# %s = %s\n" % (key, value))
+def _cell(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return "%d" % value
+    return "%.6e" % value
+
+
+def write_output(out_dir, name, header, rows, sep=","):
+    """Write the file ``name`` in out_dir; every command writes through here.
+
+    header is (key, value) pairs, written as '# key = value' lines; each
+    row is written as its cells joined by sep. A str value is written as
+    it is, an int as %d and any other number as %.6e. ASCII, LF endings.
+    """
+    with open(os.path.join(out_dir, name), "w", encoding="ascii",
+              newline="") as fh:
+        for key, value in header:
+            fh.write("# %s = %s\n" % (key, _cell(value)))
+        for row in rows:
+            fh.write(sep.join(_cell(v) for v in row) + "\n")
 
 
 def _fwhm(nodes, values):
@@ -115,12 +134,7 @@ def cmd_modes(cfg, out_dir, args):
                        "%.8e" % abs(mode_overlap(fm.modes[:, 0], psi0, decomp.grid))))
         columns.append("phi0")
         data.append(fm.modes[:, 0])
-    path = os.path.join(out_dir, "modes.csv")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        _write_header(fh, header)
-        fh.write(",".join(columns) + "\n")
-        for row in zip(*data):
-            fh.write(",".join("%.6e" % v for v in row) + "\n")
+    write_output(out_dir, "modes.csv", header, [columns, *zip(*data)])
 
 
 def _ppair_grid(cfg):
@@ -134,7 +148,8 @@ def _ppair_grid(cfg):
 
 def cmd_sweep_ppair(cfg, out_dir, args):
     params, raman, model, filt, label, _ = resolve(cfg)
-    rows = []
+    rows = [("p_pair", "v_open", "qber_open", "key_open",
+             "v_filtered", "qber_filtered", "key_filtered")]
     for p in _ppair_grid(cfg):
         params_p = params_for_pair_probability(params, float(p))
         v_open = visibility_open(params_p, raman)
@@ -152,13 +167,8 @@ def cmd_sweep_ppair(cfg, out_dir, args):
                 model=model)
             v_f, e_f, k_f = report.visibility, report.qber, report.key_fraction
         rows.append((float(p), v_open, e_open, k_open, v_f, e_f, k_f))
-    path = os.path.join(out_dir, "sweep_ppair.csv")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        _write_header(fh, list(resolved_items(cfg)) + [("filter_resolved", label)])
-        fh.write("p_pair,v_open,qber_open,key_open,"
-                 "v_filtered,qber_filtered,key_filtered\n")
-        for row in rows:
-            fh.write(",".join("%.6e" % v for v in row) + "\n")
+    write_output(out_dir, "sweep_ppair.csv",
+                 resolved_items(cfg) + [("filter_resolved", label)], rows)
 
 
 def cmd_sweep_detuning(cfg, out_dir, args):
@@ -166,7 +176,7 @@ def cmd_sweep_detuning(cfg, out_dir, args):
     # the zero-power filter depends on the band grid, not the detuning
     filt = zero_power_filter(filt, model)
     deltas = np.linspace(cfg.delta_min_nm, cfg.delta_max_nm, cfg.delta_points)
-    rows = []
+    rows = [("delta_nm", "gain_ratio", "clamped", "v_sat_open", "v_sat_filtered")]
     for delta_nm in deltas:
         det = detuning_to_angular(float(delta_nm), cfg.pump_wavelength_nm)
         params_d = params.with_band_center(det)
@@ -180,13 +190,8 @@ def cmd_sweep_detuning(cfg, out_dir, args):
                                                 n_points=cfg.n_points,
                                                 model=model)
         rows.append((float(delta_nm), ratio, clamped, v_open, v_f))
-    path = os.path.join(out_dir, "sweep_detuning.csv")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        _write_header(fh, list(resolved_items(cfg)) + [("filter_resolved", label)])
-        fh.write("delta_nm,gain_ratio,clamped,v_sat_open,v_sat_filtered\n")
-        for delta_nm, ratio, clamped, v_open, v_f in rows:
-            fh.write("%.6e,%.6e,%d,%.6e,%.6e\n"
-                     % (delta_nm, ratio, clamped, v_open, v_f))
+    write_output(out_dir, "sweep_detuning.csv",
+                 resolved_items(cfg) + [("filter_resolved", label)], rows)
 
 
 def cmd_optimize(cfg, out_dir, args):
@@ -194,40 +199,43 @@ def cmd_optimize(cfg, out_dir, args):
     params, _, _, _, _, result = resolve(replace(cfg, filter_kind="optimize"))
     qber = qber_from_visibility(result.achieved_v)
     key = key_fraction(qber, cfg.p_pair, f_ec=cfg.f_ec, q_basis=cfg.q_basis)
-    report_path = os.path.join(out_dir, "filter_report.txt")
-    with open(report_path, "w", encoding="ascii", newline="") as fh:
-        _write_header(fh, resolved_items(cfg))
-        fh.write("objective = %s\n" % result.objective)
-        fh.write("objective_value = %.6e\n" % result.objective_value)
-        fh.write("order = %d\n" % result.order)
-        fh.write("width_sigma = %.6e\n" % result.width)
-        fh.write("shutter_t_sigma = %.6e\n" % result.shutter_t)
-        fh.write("shutter_fwhm_ps = %.6e\n" % (result.shutter_t / params.sigma * 1e12))
-        fh.write("chi0 = %.6e\n" % result.chi0)
-        fh.write("residual_sum = %.6e\n" % result.residual_sum)
-        fh.write("collection_fraction = %.6e\n" % result.collection_fraction)
-        fh.write("overlap_phi0_psi0 = %.6e\n" % result.overlap)
-        fh.write("achieved_v = %.6e\n" % result.achieved_v)
-        fh.write("achieved_qber = %.6e\n" % qber)
-        fh.write("achieved_key_fraction = %.6e\n" % key)
-        fh.write("p_pair = %.6e\n" % cfg.p_pair)
-        fh.write("converged = %s\n" % ("true" if result.converged else "false"))
-        fh.write("evaluations = %d\n" % result.evaluations)
-    profile_path = os.path.join(out_dir, "filter_profile.csv")
-    export_filter_profile(profile_path, params, result.order, result.width,
-                          result.shutter_t, header_items=resolved_items(cfg))
+    shutter_ps = result.shutter_t / params.sigma * 1e12
+    write_output(out_dir, "filter_report.txt", resolved_items(cfg), [
+        ("objective", result.objective),
+        ("objective_value", result.objective_value),
+        ("order", result.order),
+        ("width_sigma", result.width),
+        ("shutter_t_sigma", result.shutter_t),
+        ("shutter_fwhm_ps", shutter_ps),
+        ("chi0", result.chi0),
+        ("residual_sum", result.residual_sum),
+        ("collection_fraction", result.collection_fraction),
+        ("overlap_phi0_psi0", result.overlap),
+        ("achieved_v", result.achieved_v),
+        ("achieved_qber", qber),
+        ("achieved_key_fraction", key),
+        ("p_pair", cfg.p_pair),
+        ("converged", "true" if result.converged else "false"),
+        ("evaluations", result.evaluations),
+    ], sep=" = ")
+    header = resolved_items(cfg) + [("shutter_fwhm_ps", shutter_ps),
+                                    ("profile_order", result.order),
+                                    ("profile_width_sigma", result.width)]
+    write_output(out_dir, "filter_profile.csv", header,
+                 [("wavelength_nm", "attenuation_db"),
+                  *zip(*filter_profile(params, result.order, result.width))])
 
 
 def cmd_calibrate(cfg, out_dir, args):
     params = to_params(cfg)
     det = detuning_to_angular(args.delta_nm, cfg.pump_wavelength_nm)
     ratio = calibrate_raman(args.target_v, det, params)
-    model = RamanModel(detunings=np.array([det]), ratios=np.array([ratio]))
-    header = list(resolved_items(cfg))
-    header.append(("target_v_sat", repr(args.target_v)))
-    header.append(("calibration_delta_nm", repr(args.delta_nm)))
-    save_raman_table(model, os.path.join(out_dir, "raman_calibrated.csv"),
-                     header_items=header)
+    header = resolved_items(cfg) + [("target_v_sat", repr(args.target_v)),
+                                    ("calibration_delta_nm", repr(args.delta_nm))]
+    # the row load_raman_table reads back: detuning in THz, gain ratio
+    write_output(out_dir, "raman_calibrated.csv", header,
+                 [("detuning_thz", "gain_ratio"),
+                  (det / (2.0 * math.pi * 1e12), ratio)])
     sys.stdout.write("gain_ratio = %.10e\n" % ratio)
 
 
@@ -253,9 +261,9 @@ def build_parser():
     p_opt.set_defaults(func=cmd_optimize)
     p_cal = sub.add_parser("calibrate", parents=[common],
                            help="fit the gain ratio to a target visibility")
-    p_cal.add_argument("--target-v", type=float, required=True,
+    p_cal.add_argument("--target-v", type=finite_float, required=True,
                        help="zero-power visibility to reproduce")
-    p_cal.add_argument("--delta-nm", type=float, required=True,
+    p_cal.add_argument("--delta-nm", type=finite_float, required=True,
                        help="detuning of the measurement, nm")
     p_cal.set_defaults(func=cmd_calibrate)
     return parser

@@ -18,7 +18,7 @@ from .sfwm import (ExperimentParams, default_raman_model, load_raman_table,
                    params_for_pair_probability)
 
 
-def _float(text):
+def finite_float(text):
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
@@ -62,7 +62,7 @@ def _int_list(text):
 def _opt_float(text):
     if text.lower() == "none":
         return None
-    return _float(text)
+    return finite_float(text)
 
 
 @dataclass(frozen=True)
@@ -99,34 +99,34 @@ class RunConfig:
 
 # dotted config key -> (dataclass field, value parser)
 KEYMAP = {
-    "fiber.temperature_k": ("temperature_k", _float),
-    "pump.wavelength_nm": ("pump_wavelength_nm", _float),
-    "pump.sigma_nm": ("sigma_nm", _float),
-    "band.center_nm": ("band_center_nm", _float),
-    "band.width_nm": ("band_width_nm", _float),
-    "run.p_pair": ("p_pair", _float),
+    "fiber.temperature_k": ("temperature_k", finite_float),
+    "pump.wavelength_nm": ("pump_wavelength_nm", finite_float),
+    "pump.sigma_nm": ("sigma_nm", finite_float),
+    "band.center_nm": ("band_center_nm", finite_float),
+    "band.width_nm": ("band_width_nm", finite_float),
+    "run.p_pair": ("p_pair", finite_float),
     "numerics.n_points": ("n_points", _int),
     "raman.source": ("raman_source", _str),
     "filter.kind": ("filter_kind",
                     _choice("open", "ideal-matched", "practical", "optimize")),
     "filter.order": ("filter_order", _int),
-    "filter.width_sigma": ("filter_width_sigma", _float),
-    "filter.shutter_t_sigma": ("shutter_t_sigma", _float),
+    "filter.width_sigma": ("filter_width_sigma", finite_float),
+    "filter.shutter_t_sigma": ("shutter_t_sigma", finite_float),
     "filter.objective": ("objective", _choice("mode-match", "visibility")),
     "filter.orders": ("orders", _int_list),
-    "filter.width_min_sigma": ("width_min_sigma", _float),
-    "filter.width_max_sigma": ("width_max_sigma", _float),
+    "filter.width_min_sigma": ("width_min_sigma", finite_float),
+    "filter.width_max_sigma": ("width_max_sigma", finite_float),
     "filter.t_min_sigma": ("t_min_sigma", _opt_float),
     "filter.t_max_sigma": ("t_max_sigma", _opt_float),
-    "sweep.p_min": ("p_min", _float),
-    "sweep.p_max": ("p_max", _float),
+    "sweep.p_min": ("p_min", finite_float),
+    "sweep.p_max": ("p_max", finite_float),
     "sweep.points": ("sweep_points", _int),
     "sweep.log": ("sweep_log", _bool),
-    "sweep.delta_min_nm": ("delta_min_nm", _float),
-    "sweep.delta_max_nm": ("delta_max_nm", _float),
+    "sweep.delta_min_nm": ("delta_min_nm", finite_float),
+    "sweep.delta_max_nm": ("delta_max_nm", finite_float),
     "sweep.delta_points": ("delta_points", _int),
-    "qkd.f_ec": ("f_ec", _float),
-    "qkd.q_basis": ("q_basis", _float),
+    "qkd.f_ec": ("f_ec", finite_float),
+    "qkd.q_basis": ("q_basis", finite_float),
     "output.dir": ("output_dir", _str),
 }
 

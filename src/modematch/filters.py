@@ -306,25 +306,17 @@ ATTENUATION_CAP_DB = 120.0
 EXPORT_ROWS = 120
 
 
-def export_filter_profile(path, params, order, width, shutter_t, header_items=()):
-    """Write the mask as wavelength / attenuation rows a pulse shaper takes.
+def filter_profile(params, order, width):
+    """The mask as (wavelength_nm, attenuation_db) rows a pulse shaper takes.
 
-    Wavelengths are absolute, on the blue (anti-Stokes) side of the
-    pump; the mask is symmetric between bands. Power attenuation is
-    capped at 120 dB. The shutter FWHM is recorded in the header in ps.
+    EXPORT_ROWS rows sample the band evenly, edge to edge. Wavelengths
+    are absolute, on the blue (anti-Stokes) side of the pump, so they
+    fall from row to row; the mask is symmetric between bands. Power
+    attenuation is capped at ATTENUATION_CAP_DB.
     """
     x = np.linspace(-params.b_sigma / 2.0, params.b_sigma / 2.0, EXPORT_ROWS)
     h = np.exp(-0.5 * (x / width) ** order)
     omega_abs = params.pump_omega + (params.b0_sigma + x) * params.sigma
     wavelength_nm = 2.0 * math.pi * C_LIGHT / omega_abs * 1e9
     att_db = np.minimum(-20.0 * np.log10(np.maximum(h, 1e-300)), ATTENUATION_CAP_DB)
-    shutter_ps = shutter_t / params.sigma * 1e12
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for key, value in header_items:
-            fh.write("# %s = %s\n" % (key, value))
-        fh.write("# shutter_fwhm_ps = %.6e\n" % shutter_ps)
-        fh.write("# profile_order = %d\n" % order)
-        fh.write("# profile_width_sigma = %.6e\n" % width)
-        fh.write("wavelength_nm,attenuation_db\n")
-        for lam, db in zip(wavelength_nm, att_db):
-            fh.write("%.6e,%.6e\n" % (lam, db))
+    return wavelength_nm, att_db

@@ -65,6 +65,8 @@ class ExperimentParams:
                 raise DomainError("%s must be positive" % name)
         if self.band_center - self.band_width / 2.0 <= 0:
             raise DomainError("collection band touches the pump")
+        if self.band_center + self.band_width / 2.0 >= self.pump_omega:
+            raise DomainError("Stokes band reaches zero absolute frequency")
         if self.q >= Q_MAX:
             raise DomainError("q = %.3g exceeds the perturbative bound %.2g" % (self.q, Q_MAX))
 
@@ -213,8 +215,10 @@ def calibrate_raman(target_v_sat, detuning_rad_s, params):
         raise DomainError("calibration detuning must be positive")
     if detuning_rad_s - params.band_width / 2.0 <= 0:
         raise DomainError("calibration band touches the pump")
-    trial = params.with_band_center(detuning_rad_s)
-    r = math.sqrt((1.0 / target_v_sat - 1.0) / _raman_noise_factor(trial))
+    noise = _raman_noise_factor(params.with_band_center(detuning_rad_s))
+    if noise == 0.0:
+        raise InfeasibleError("no thermal Raman noise to calibrate against")
+    r = math.sqrt((1.0 / target_v_sat - 1.0) / noise)
     if r > 10.0:
         raise InfeasibleError("target visibility unreachable within r <= 10")
     return r
@@ -317,13 +321,3 @@ def load_raman_table(path):
         return RamanModel(detunings=np.array(dets), ratios=np.array(ratios))
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
-
-
-def save_raman_table(model, path, header_items=()):
-    """Write a gain table CSV; inverse of load_raman_table."""
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        for key, value in header_items:
-            fh.write("# %s = %s\n" % (key, value))
-        fh.write("detuning_thz,gain_ratio\n")
-        for det, ratio in zip(model.detunings, model.ratios):
-            fh.write("%.6e,%.6e\n" % (det / (2.0 * math.pi * 1e12), ratio))

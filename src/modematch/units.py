@@ -44,7 +44,8 @@ def thermal_occupation(delta_omega_rad_s, temperature_k):
 
     For a detuning omega from the pump, returns the Bose occupation
     n(|omega|) = 1/(exp(hbar |omega| / k T) - 1), plus 1 on the Stokes
-    side (omega < 0) where stimulated and spontaneous terms add.
+    side (omega < 0) where stimulated and spontaneous terms add. Where
+    hbar |omega| / k T is past expm1's range, n is its limit 0.
     """
     if temperature_k <= 0:
         raise DomainError("temperature must be positive")
@@ -53,7 +54,10 @@ def thermal_occupation(delta_omega_rad_s, temperature_k):
             "thermal occupation undefined within %g rad/s of the pump" % OMEGA_MIN_RAD_S
         )
     x = HBAR * abs(delta_omega_rad_s) / (K_B * temperature_k)
-    n = 1.0 / math.expm1(x)
+    try:
+        n = 1.0 / math.expm1(x)
+    except OverflowError:
+        n = 0.0
     return n + 1.0 if delta_omega_rad_s < 0 else n
 
 

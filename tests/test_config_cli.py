@@ -514,6 +514,26 @@ class TestCliCalibrate:
         assert float(header["target_v_sat"]) == 0.82
         assert data["gain_ratio"][0] == pytest.approx(0.0322856606, rel=1e-6)
 
+    @pytest.mark.parametrize("flags", [
+        ["--target-v", "0.8", "--delta-nm", "nan"],
+        ["--target-v", "0.8", "--delta-nm", "inf"],
+        ["--target-v", "nan", "--delta-nm", "9"],
+    ], ids=["delta-nan", "delta-inf", "target-nan"])
+    def test_non_finite_flag_is_a_usage_error(self, flags, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate", "--out", str(tmp_path / "c")] + flags)
+        assert exc.value.code == 2
+        assert "invalid finite_float value" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("delta_nm", ["1e300", "100000"])
+    def test_detuning_past_the_pump_frequency(self, delta_nm, tmp_path, capsys):
+        rc = cli.main(["calibrate", "--target-v", "0.8", "--delta-nm", delta_nm,
+                       "--out", str(tmp_path / "c")])
+        assert rc == 2
+        assert "zero absolute frequency" in capsys.readouterr().err
+        assert not (tmp_path / "c" / "raman_calibrated.csv").exists()
+
 
 class TestCliErrors:
     def test_missing_config_file(self, tmp_path):
@@ -603,6 +623,32 @@ class TestCliErrors:
         assert "line 3:" in capsys.readouterr().err
         assert not (tmp_path / "m" / "modes.csv").exists()
 
+    def test_band_past_the_pump_frequency(self, tmp_path, capsys):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("band.center_nm = 100000\n")
+        rc = cli.main(["sweep-ppair", "--config", str(cfgp),
+                       "--out", str(tmp_path / "s")])
+        assert rc == 2
+        assert "zero absolute frequency" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "sweep_ppair.csv").exists()
+
+    def test_cold_fiber_far_band_runs(self, tmp_path):
+        # at 0.5 K and 100 nm hbar omega / k T is past expm1's range: no
+        # anti-Stokes phonons, one Stokes spontaneous term
+        table = tmp_path / "gain.csv"
+        table.write_text("detuning_thz,gain_ratio\n5.0,0.02\n20.0,0.05\n")
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("fiber.temperature_k = 0.5\nband.center_nm = 100\n"
+                        "raman.source = %s\n" % table + QUICK)
+        rc = cli.main(["sweep-ppair", "--config", str(cfgp),
+                       "--out", str(tmp_path / "s")])
+        assert rc == 0
+        _, data = read_csv(tmp_path / "s" / "sweep_ppair.csv")
+        for column in data.values():
+            assert np.all(np.isfinite(column))
+        assert np.all((data["v_open"] > 0) & (data["v_open"] <= 1))
+        assert np.all(data["v_filtered"] >= data["v_open"])
+
     def test_non_ascii_config(self, tmp_path, capsys):
         cfgp = tmp_path / "run.cfg"
         cfgp.write_bytes("run.p_pair = 0.01\n# caf\u00e9\n".encode("utf-8"))
@@ -619,6 +665,31 @@ class TestCliErrors:
         rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
         assert rc == 2
         assert "line 1: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+
+class TestOutputFiles:
+    FILES = {
+        "modes": ["modes.csv"],
+        "sweep-ppair": ["sweep_ppair.csv"],
+        "sweep-detuning": ["sweep_detuning.csv"],
+        "optimize": ["filter_profile.csv", "filter_report.txt"],
+        "calibrate": ["raman_calibrated.csv"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(FILES))
+    def test_every_file_starts_with_the_resolved_config(self, command, tmp_path):
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(QUICK + "filter.kind = practical\nrun.p_pair = 0.02\n")
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfgp), "--out", str(out)]
+        if command == "calibrate":
+            argv += ["--target-v", "0.8", "--delta-nm", "9"]
+        assert cli.main(argv) == 0
+        want = ["# %s = %s" % item for item in resolved_items(load_config(cfgp))]
+        assert sorted(p.name for p in out.iterdir()) == self.FILES[command]
+        for path in out.iterdir():
+            lines = path.read_bytes().decode("ascii").split("\n")
+            assert lines[:len(want)] == want, path.name
 
 
 class TestCliDeterminism:

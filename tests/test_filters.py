@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 import modematch
-from modematch import filters
+from modematch import cli, filters
 from modematch.errors import DomainError, PhysicalityError
 from modematch.filters import (
     ATTENUATION_CAP_DB,
     FilterModes,
     SearchSpace,
     SpectralProfile,
-    export_filter_profile,
     filter_modes,
+    filter_profile,
     ideal_matched_filter,
     kappa_gaussian_shutter,
     open_filter,
@@ -66,6 +66,20 @@ def read_profile(path):
     assert rows[0] == "wavelength_nm,attenuation_db"
     wavelengths, att_db = np.loadtxt(rows[1:], delimiter=",", unpack=True)
     return wavelengths, 10.0 ** (-att_db / 20.0), header
+
+
+@pytest.fixture(scope="module")
+def optimized_profile(tmp_path_factory):
+    """optimize's filter_profile.csv, read, and its report's key = value map."""
+    out = tmp_path_factory.mktemp("optimize")
+    cfgp = out / "run.cfg"
+    cfgp.write_text("numerics.n_points = 41\nfilter.orders = 4\n"
+                    "filter.width_min_sigma = 2.0\nfilter.width_max_sigma = 6.0\n")
+    assert cli.main(["optimize", "--config", str(cfgp), "--out", str(out)]) == 0
+    report = dict(line.split(" = ", 1)
+                  for line in (out / "filter_report.txt").read_text().splitlines()
+                  if not line.startswith("#"))
+    return read_profile(out / "filter_profile.csv"), report
 
 
 class TestProfiles:
@@ -362,38 +376,47 @@ class TestOptimizeFilter:
 
 
 class TestProfileExport:
-    def test_roundtrip(self, tmp_path):
-        p = ExperimentParams.at_pair_rate(0.01)
-        path = tmp_path / "profile.csv"
-        export_filter_profile(path, p, order=2, width=3.68, shutter_t=0.35)
-        wavelengths, h, meta = read_profile(path)
+    def test_roundtrip(self, optimized_profile):
+        (wavelengths, h, meta), report = optimized_profile
         assert wavelengths.size == 120
         # rows run blue to red edge: wavelength falls as frequency rises
         assert np.all(np.diff(wavelengths) < 0)
         assert np.all(h <= 1.0 + 1e-12)
-        assert meta["profile_order"] == "2"
+        assert meta["profile_order"] == report["order"] == "4"
         # attenuation is written in dB with a cap
         assert np.all(h >= 10.0 ** (-ATTENUATION_CAP_DB / 20.0) - 1e-15)
-
-    def test_reconstructed_mask_matches_formula(self, tmp_path):
+        # the file holds the profile of the reported design
         p = ExperimentParams.at_pair_rate(0.01)
-        path = tmp_path / "profile.csv"
-        export_filter_profile(path, p, order=4, width=2.5, shutter_t=0.35)
-        wavelengths, h, meta = read_profile(path)
-        assert float(meta["profile_width_sigma"]) == pytest.approx(2.5)
+        want_nm, want_db = filter_profile(p, 4, float(report["width_sigma"]))
+        assert np.allclose(wavelengths, want_nm, rtol=1e-6, atol=0)
+        assert np.allclose(h, 10.0 ** (-want_db / 20.0), rtol=1e-5, atol=0)
+
+    def test_reconstructed_mask_matches_formula(self, optimized_profile):
+        p = ExperimentParams.at_pair_rate(0.01)
+        wavelengths, att_db = filter_profile(p, order=4, width=2.5)
+        h = 10.0 ** (-att_db / 20.0)
+        assert wavelengths.size == h.size == 120
         # rows sample the band evenly, edge to edge
         x = np.linspace(-p.b_sigma / 2.0, p.b_sigma / 2.0, h.size)
-        assert np.allclose(h, np.exp(-0.5 * (x / 2.5) ** 4), rtol=1e-5, atol=0)
+        assert np.allclose(h, np.exp(-0.5 * (x / 2.5) ** 4), rtol=1e-12, atol=0)
         # center rows should be near unity transmission
         assert np.max(h) > 0.999
+        (_, _, meta), report = optimized_profile
+        assert meta["profile_width_sigma"] == report["width_sigma"]
+        assert 2.0 <= float(meta["profile_width_sigma"]) <= 6.0
 
-    def test_shutter_metadata_in_ps(self, tmp_path):
+    def test_attenuation_cap(self):
         p = ExperimentParams.at_pair_rate(0.01)
-        path = tmp_path / "profile.csv"
-        export_filter_profile(path, p, order=2, width=3.68, shutter_t=0.35)
-        _, _, meta = read_profile(path)
+        _, att_db = filter_profile(p, order=2, width=0.5)
+        assert att_db.max() == ATTENUATION_CAP_DB
+        assert att_db.min() >= 0.0
+
+    def test_shutter_metadata_in_ps(self, optimized_profile):
+        (_, _, meta), report = optimized_profile
+        p = ExperimentParams.at_pair_rate(0.01)
         want_ps = 0.35 / p.sigma * 1e12
-        assert float(meta["shutter_fwhm_ps"]) == pytest.approx(want_ps, rel=1e-4)
+        assert float(meta["shutter_fwhm_ps"]) == pytest.approx(want_ps, rel=1e-6)
+        assert meta["shutter_fwhm_ps"] == report["shutter_fwhm_ps"]
 
 
 class TestModuleHygiene:

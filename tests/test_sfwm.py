@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from modematch import cli
+from modematch.config import parse_config, to_params, to_raman
 from modematch.errors import DomainError, InfeasibleError, ParseError
 from modematch.sfwm import (
     BUILTIN_ANCHOR_VISIBILITIES,
@@ -18,7 +20,6 @@ from modematch.sfwm import (
     default_raman_model,
     load_raman_table,
     params_for_pair_probability,
-    save_raman_table,
     sfwm_modes,
     saturated_open_visibility,
     unfiltered_pair_probability,
@@ -75,6 +76,13 @@ class TestExperimentParams:
         with pytest.raises(DomainError):
             # collection band would overlap the carrier
             dataclasses.replace(p, band_center=0.4 * p.band_width)
+
+    def test_band_must_stay_below_the_pump_frequency(self):
+        p = ExperimentParams()
+        edge = p.pump_omega - p.band_width / 2.0
+        assert p.with_band_center(edge * (1.0 - 1e-9)).band_center < edge
+        with pytest.raises(DomainError, match="zero absolute frequency"):
+            p.with_band_center(edge)
 
     def test_perturbative_bound(self):
         p = ExperimentParams()
@@ -212,6 +220,13 @@ class TestCalibration:
             calibrate_raman(v_10 * (1.0 - 1e-9), p.band_center, p)
         assert calibrate_raman(v_10 * (1.0 + 1e-9), p.band_center, p) <= 10.0
 
+    def test_no_thermal_noise_is_infeasible(self):
+        # at 0.5 K no phonon populates a 100 nm detuning: the noise factor is 0
+        p = ExperimentParams(temperature_k=0.5)
+        det = detuning_to_angular(100.0, p.pump_wavelength_nm)
+        with pytest.raises(InfeasibleError, match="no thermal Raman noise"):
+            calibrate_raman(0.8, det, p)
+
 
 class TestRamanModel:
     def test_builtin_anchor_ratios(self):
@@ -266,15 +281,19 @@ class TestRamanModel:
 
 
 class TestGainTableIO:
-    def test_roundtrip(self, tmp_path):
-        p = ExperimentParams()
-        model = default_raman_model(p)
-        path = tmp_path / "gain.csv"
-        save_raman_table(model, path, header_items=(("note", "unit test"),))
-        back = load_raman_table(path)
+    def test_roundtrip(self, tmp_path, capsys):
+        # the table calibrate writes is one raman.source reads back
+        out = tmp_path / "c"
+        rc = cli.main(["calibrate", "--target-v", "0.82", "--delta-nm", "9.0",
+                       "--out", str(out)])
+        assert rc == 0
+        ratio = float(capsys.readouterr().out.partition("=")[2])
+        cfg = parse_config("raman.source = %s\n" % (out / "raman_calibrated.csv"))
+        back = to_raman(cfg, to_params(cfg))
+        det = detuning_to_angular(9.0, cfg.pump_wavelength_nm)
         # rows are written with 7 significant digits
-        assert np.allclose(back.detunings, model.detunings, rtol=1e-6)
-        assert np.allclose(back.ratios, model.ratios, rtol=1e-6)
+        assert back.detunings == pytest.approx([det], rel=1e-6)
+        assert back.ratio_at(det) == pytest.approx(ratio, rel=1e-6)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"

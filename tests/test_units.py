@@ -78,6 +78,21 @@ class TestThermalOccupation:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_past_expm1_range_gives_the_limit(self):
+        # hbar omega / k T = 1216 at 100 nm and 0.5 K, past expm1's range
+        w = detuning_to_angular(100.0, 1538.7)
+        assert thermal_occupation(w, 0.5) == 0.0
+        assert thermal_occupation(-w, 0.5) == 1.0
+        assert thermal_occupation(math.inf, 300.0) == 0.0
+
+    def test_bit_identical_where_expm1_is_finite(self):
+        t = 300.0
+        for x in (1e-6, 0.5, 30.0, 709.0):
+            w = x * K_B * t / HBAR
+            n = 1.0 / math.expm1(HBAR * w / (K_B * t))
+            assert thermal_occupation(w, t) == n
+            assert thermal_occupation(-w, t) == n + 1.0
+
     def test_rejects_small_frequency(self):
         with pytest.raises(DomainError):
             thermal_occupation(0.5 * OMEGA_MIN_RAD_S, 300.0)
