@@ -196,9 +196,9 @@ def cmd_sweep_detuning(cfg, out_dir, args):
 
 def cmd_optimize(cfg, out_dir, args):
     # the header keeps the configured filter.kind
-    params, _, _, _, _, result = resolve(replace(cfg, filter_kind="optimize"))
-    qber = qber_from_visibility(result.achieved_v)
-    key = key_fraction(qber, cfg.p_pair, f_ec=cfg.f_ec, q_basis=cfg.q_basis)
+    params, raman, model, fm, _, result = resolve(replace(cfg, filter_kind="optimize"))
+    report = evaluate_operating_point(params, raman, fm, fm, f_ec=cfg.f_ec,
+                                      q_basis=cfg.q_basis, model=model)
     shutter_ps = result.shutter_t / params.sigma * 1e12
     write_output(out_dir, "filter_report.txt", resolved_items(cfg), [
         ("objective", result.objective),
@@ -211,9 +211,9 @@ def cmd_optimize(cfg, out_dir, args):
         ("residual_sum", result.residual_sum),
         ("collection_fraction", result.collection_fraction),
         ("overlap_phi0_psi0", result.overlap),
-        ("achieved_v", result.achieved_v),
-        ("achieved_qber", qber),
-        ("achieved_key_fraction", key),
+        ("achieved_v", report.visibility),
+        ("achieved_qber", report.qber),
+        ("achieved_key_fraction", report.key_fraction),
         ("p_pair", cfg.p_pair),
         ("converged", "true" if result.converged else "false"),
         ("evaluations", result.evaluations),

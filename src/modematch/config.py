@@ -16,6 +16,7 @@ from .errors import DomainError, ParseError, read_ascii
 from .filters import SearchSpace, check_profile
 from .sfwm import (ExperimentParams, default_raman_model, load_raman_table,
                    params_for_pair_probability)
+from .units import detuning_to_angular
 
 
 def finite_float(text):
@@ -38,10 +39,6 @@ def _bool(text):
     if low in ("false", "no", "off", "0"):
         return False
     raise ValueError("expected true or false")
-
-
-def _str(text):
-    return text
 
 
 def _choice(*allowed):
@@ -106,7 +103,7 @@ KEYMAP = {
     "band.width_nm": ("band_width_nm", finite_float),
     "run.p_pair": ("p_pair", finite_float),
     "numerics.n_points": ("n_points", _int),
-    "raman.source": ("raman_source", _str),
+    "raman.source": ("raman_source", str),
     "filter.kind": ("filter_kind",
                     _choice("open", "ideal-matched", "practical", "optimize")),
     "filter.order": ("filter_order", _int),
@@ -127,7 +124,7 @@ KEYMAP = {
     "sweep.delta_points": ("delta_points", _int),
     "qkd.f_ec": ("f_ec", finite_float),
     "qkd.q_basis": ("q_basis", finite_float),
-    "output.dir": ("output_dir", _str),
+    "output.dir": ("output_dir", str),
 }
 
 
@@ -208,11 +205,12 @@ def resolved_items(cfg):
 
 def to_params(cfg):
     """Experiment parameters at the configured operating point."""
-    base = ExperimentParams.from_nm(
-        temperature_k=cfg.temperature_k,
-        pump_wavelength_nm=cfg.pump_wavelength_nm,
-        sigma_nm=cfg.sigma_nm, band_center_nm=cfg.band_center_nm,
-        band_width_nm=cfg.band_width_nm)
+    lam = cfg.pump_wavelength_nm
+    base = ExperimentParams(
+        temperature_k=cfg.temperature_k, pump_wavelength_nm=lam,
+        sigma=detuning_to_angular(cfg.sigma_nm, lam),
+        band_center=detuning_to_angular(cfg.band_center_nm, lam),
+        band_width=detuning_to_angular(cfg.band_width_nm, lam))
     return params_for_pair_probability(base, cfg.p_pair)
 
 

@@ -28,6 +28,7 @@ from .numerics import (TWO_PI, Grid, ModeDecomposition, decompose_kernel,
                        integrate, make_band_grid, mode_overlap)
 from .sfwm import sfwm_modes
 from .units import C_LIGHT
+from .visibility import RateModel, evaluate_operating_point
 
 LN2 = math.log(2.0)
 
@@ -254,8 +255,6 @@ def optimize_filter(params, raman, search=None, n_points=201, model=None):
     band grid, as for sfwm_modes. Deterministic for fixed inputs.
     """
     from scipy import optimize as _sopt
-
-    from .visibility import RateModel, evaluate_operating_point
 
     if search is None:
         search = SearchSpace()

@@ -85,17 +85,6 @@ class ExperimentParams:
         return 2.0 * math.pi * C_LIGHT / (self.pump_wavelength_nm * 1e-9)
 
     @classmethod
-    def from_nm(cls, temperature_k, pump_wavelength_nm, sigma_nm,
-                band_center_nm, band_width_nm):
-        return cls(
-            temperature_k=temperature_k,
-            pump_wavelength_nm=pump_wavelength_nm,
-            sigma=detuning_to_angular(sigma_nm, pump_wavelength_nm),
-            band_center=detuning_to_angular(band_center_nm, pump_wavelength_nm),
-            band_width=detuning_to_angular(band_width_nm, pump_wavelength_nm),
-        )
-
-    @classmethod
     def at_pair_rate(cls, p_pair=0.01):
         """Default dispersion-shifted fiber source tuned to a pair rate."""
         return params_for_pair_probability(cls(), p_pair)
@@ -192,20 +181,21 @@ def _raman_noise_factor(params):
     return b**2 * n_anti * n_stokes / band_coincidence_integral(b)
 
 
-def saturated_open_visibility(params, raman_ratio):
-    """Zero-pump-power limit of the unfiltered visibility.
+def saturated_visibility_open(params, raman):
+    """Zero-pump-power limit of the unfiltered visibility, closed form.
 
     Multipair noise scales out and only the Raman background survives:
-    V -> 1 / (1 + r^2 b^2 n+ n- / geometry). Monotone decreasing in the
-    gain ratio, which makes it invertible for calibration.
+    V -> 1 / (1 + r^2 b^2 n+ n- / geometry), with r the gain ratio of
+    ``raman`` (a RamanModel or a bare ratio, as for gain_ratio).
+    Monotone decreasing in r, which makes it invertible for calibration.
     """
-    return 1.0 / (1.0 + raman_ratio**2 * _raman_noise_factor(params))
+    return 1.0 / (1.0 + gain_ratio(raman, params)**2 * _raman_noise_factor(params))
 
 
 def calibrate_raman(target_v_sat, detuning_rad_s, params):
     """Gain ratio r that reproduces a zero-power visibility at a detuning.
 
-    The inverse of ``saturated_open_visibility`` in closed form,
+    The inverse of ``saturated_visibility_open`` in closed form,
     r = sqrt((1/V - 1) geometry / (b^2 n+ n-)); a target of exactly 1
     gives r = 0, no Raman noise. Raises InfeasibleError past r = 10.
     """

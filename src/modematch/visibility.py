@@ -27,8 +27,9 @@ import numpy as np
 
 from .errors import DomainError
 from .numerics import TWO_PI, decompose_kernel, make_band_grid
+# saturated_visibility_open is re-exported beside the other visibilities
 from .sfwm import (_xi_from_gaussians, band_coincidence_integral,
-                   gain_ratio, saturated_open_visibility,
+                   gain_ratio, saturated_visibility_open,
                    unfiltered_pair_probability)
 from .units import binary_entropy, thermal_occupation
 
@@ -265,7 +266,7 @@ def unfiltered_budget(params, raman):
     r = gain_ratio(raman, params)
     n_anti = thermal_occupation(+params.band_center, params.temperature_k)
     n_stokes = thermal_occupation(-params.band_center, params.temperature_k)
-    s = math.sqrt(2.0 * math.pi) * math.pi * q**2 * b
+    s = unfiltered_pair_probability(params)
     r_a = math.sqrt(math.pi) * q * r * b * n_anti
     r_s = math.sqrt(math.pi) * q * r * b * n_stokes
     c = TWO_PI * q**2 * band_coincidence_integral(b)
@@ -275,12 +276,6 @@ def unfiltered_budget(params, raman):
 def visibility_open(params, raman):
     """Unfiltered visibility at the configured operating point."""
     return unfiltered_budget(params, raman).visibility
-
-
-def saturated_visibility_open(params, raman):
-    """Unfiltered visibility in the zero-power limit, closed form."""
-    r = gain_ratio(raman, params)
-    return saturated_open_visibility(params, r)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from modematch.sfwm import (
     default_raman_model,
     load_raman_table,
     params_for_pair_probability,
+    saturated_visibility_open,
     sfwm_modes,
-    saturated_open_visibility,
     unfiltered_pair_probability,
     xi,
 )
@@ -185,7 +185,7 @@ class TestCalibration:
         p = ExperimentParams()
         for target in (0.5, 0.9, 0.99, 1.0, 0.96, 0.82, 0.71):
             r = calibrate_raman(target, p.band_center, p)
-            assert saturated_open_visibility(p, r) == pytest.approx(
+            assert saturated_visibility_open(p, r) == pytest.approx(
                 target, abs=1e-14
             )
 
@@ -215,7 +215,7 @@ class TestCalibration:
         with pytest.raises(InfeasibleError):
             calibrate_raman(1e-6, p.band_center, p)
         # r = 10 is the largest gain ratio a calibration returns
-        v_10 = saturated_open_visibility(p, 10.0)
+        v_10 = saturated_visibility_open(p, 10.0)
         with pytest.raises(InfeasibleError):
             calibrate_raman(v_10 * (1.0 - 1e-9), p.band_center, p)
         assert calibrate_raman(v_10 * (1.0 + 1e-9), p.band_center, p) <= 10.0
@@ -243,7 +243,7 @@ class TestRamanModel:
         for d_nm, v in zip(BUILTIN_ANCHORS_NM, BUILTIN_ANCHOR_VISIBILITIES):
             w = detuning_to_angular(d_nm, p.pump_wavelength_nm)
             pd = p.with_band_center(w)
-            assert saturated_open_visibility(pd, model.ratio_at(w)) == pytest.approx(
+            assert saturated_visibility_open(pd, model.ratio_at(w)) == pytest.approx(
                 v, abs=1e-9
             )
 

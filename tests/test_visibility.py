@@ -444,7 +444,7 @@ class TestRateModel:
         n = 41
         occ = count_calls("thermal_occupation", visibility)
         grids = count_calls("make_band_grid", visibility, sfwm, filters)
-        evals = count_calls("evaluate_operating_point", visibility)
+        evals = count_calls("evaluate_operating_point", visibility, filters)
         counts = []
         for orders in ((2,), (2, 4)):
             for calls in (occ, grids, evals):
