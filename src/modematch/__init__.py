@@ -18,7 +18,7 @@ from .sfwm import (ExperimentParams, RamanModel, band_coincidence_integral,
 from .units import binary_entropy, detuning_to_angular, thermal_occupation
 from .visibility import (RateModel, UnfilteredBudget, VisibilityReport,
                          coincidence_term, evaluate_operating_point,
-                         key_fraction, pair_term, qber_from_visibility,
+                         key_fraction, overall_gain, pair_term, qber_from_visibility,
                          raman_term, saturated_visibility_filtered,
                          saturated_visibility_open, tpi_visibility,
                          unfiltered_budget, visibility_open)

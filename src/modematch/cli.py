@@ -33,7 +33,7 @@ from .sfwm import calibrate_raman, params_for_pair_probability, sfwm_modes
 from .units import detuning_to_angular
 from .visibility import (RateModel, evaluate_operating_point, key_fraction,
                          qber_from_visibility, saturated_visibility_filtered,
-                         saturated_visibility_open, visibility_open,
+                         saturated_visibility_open, unfiltered_budget,
                          zero_power_filter)
 
 PUMP_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -81,6 +81,12 @@ def _fwhm(nodes, values):
     return float(right - left)
 
 
+def _snapped(mode):
+    # samples below 1e-12 of the peak, like an odd mode at omega = 0, are
+    # eigensolver roundoff whose digits follow the BLAS thread count
+    return np.where(np.abs(mode) < 1e-12 * np.abs(mode).max(), 0.0, mode)
+
+
 def resolve(cfg):
     """(params, raman, model, filt, label, search), each built once.
 
@@ -125,7 +131,7 @@ def cmd_modes(cfg, out_dir, args):
     header.append(("psi0_fwhm_sigma", "%.8e" % _fwhm(decomp.grid.nodes, psi0)))
     header.append(("filter_resolved", label))
     columns = ["omega_sigma", "psi0", "psi1"]
-    data = [decomp.grid.nodes, psi0, psi1]
+    data = [decomp.grid.nodes, _snapped(psi0), _snapped(psi1)]
     if filt is not None:
         fm = filt(decomp) if callable(filt) else filt
         header.append(("chi0", "%.8e" % fm.chi0))
@@ -133,15 +139,13 @@ def cmd_modes(cfg, out_dir, args):
         header.append(("overlap_phi0_psi0",
                        "%.8e" % abs(mode_overlap(fm.modes[:, 0], psi0, decomp.grid))))
         columns.append("phi0")
-        data.append(fm.modes[:, 0])
+        data.append(_snapped(fm.modes[:, 0]))
     write_output(out_dir, "modes.csv", header, [columns, *zip(*data)])
 
 
 def _ppair_grid(cfg):
-    if cfg.sweep_log:
-        grid = np.geomspace(cfg.p_min, cfg.p_max, cfg.sweep_points)
-    else:
-        grid = np.linspace(cfg.p_min, cfg.p_max, cfg.sweep_points)
+    space = np.geomspace if cfg.sweep_log else np.linspace
+    grid = space(cfg.p_min, cfg.p_max, cfg.sweep_points)
     # the configured operating point is always present as a row
     return np.unique(np.append(grid, cfg.p_pair))
 
@@ -152,9 +156,10 @@ def cmd_sweep_ppair(cfg, out_dir, args):
              "v_filtered", "qber_filtered", "key_filtered")]
     for p in _ppair_grid(cfg):
         params_p = params_for_pair_probability(params, float(p))
-        v_open = visibility_open(params_p, raman)
+        budget = unfiltered_budget(params_p, raman)
+        v_open = budget.visibility
         e_open = qber_from_visibility(v_open)
-        k_open = key_fraction(e_open, float(p), f_ec=cfg.f_ec,
+        k_open = key_fraction(e_open, budget.gain, f_ec=cfg.f_ec,
                               q_basis=cfg.q_basis)
         if filt is None:
             v_f, e_f, k_f = v_open, e_open, k_open

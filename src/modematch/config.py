@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, ParseError, read_ascii
+from .errors import DomainError, InfeasibleError, ParseError, read_ascii
 from .filters import SearchSpace, check_profile
 from .sfwm import (ExperimentParams, default_raman_model, load_raman_table,
                    params_for_pair_probability)
@@ -57,9 +57,7 @@ def _int_list(text):
 
 
 def _opt_float(text):
-    if text.lower() == "none":
-        return None
-    return finite_float(text)
+    return None if text.lower() == "none" else finite_float(text)
 
 
 @dataclass(frozen=True)
@@ -215,9 +213,15 @@ def to_params(cfg):
 
 
 def to_raman(cfg, params):
-    if cfg.raman_source == "builtin":
+    if cfg.raman_source != "builtin":
+        return load_raman_table(cfg.raman_source)
+    try:
         return default_raman_model(params)
-    return load_raman_table(cfg.raman_source)
+    except InfeasibleError as exc:
+        raise InfeasibleError("the built-in gain table (raman.source = builtin) cannot "
+                              "reach its anchor visibilities at fiber.temperature_k = %r;"
+                              " set raman.source to a gain table file"
+                              % cfg.temperature_k) from exc
 
 
 def to_search_space(cfg):

@@ -161,9 +161,8 @@ def open_filter(grid):
     The identity kernel 2 pi delta(w - w') discretizes to one unit-chi
     spike mode per grid node, normalized like any other mode.
     """
-    n = grid.n
     modes = np.diag(np.sqrt(TWO_PI / grid.weights))
-    return FilterModes(chis=np.ones(n), modes=modes, grid=grid)
+    return FilterModes(chis=np.ones(grid.n), modes=modes, grid=grid)
 
 
 def ideal_matched_filter(decomposition):

@@ -106,9 +106,7 @@ def xi(x_sigma, q, raman_ratio):
     x = np.asarray(x_sigma, dtype=float)
     out = _xi_from_gaussians(np.exp(-x**2 / 4.0), np.exp(-x**2 / 8.0),
                              np.exp(-x**2 / 12.0), q, raman_ratio)
-    if np.isscalar(x_sigma):
-        return float(out)
-    return out
+    return float(out) if np.isscalar(x_sigma) else out
 
 
 def _xi_from_gaussians(e4, e8, e12, q, raman_ratio):
@@ -240,8 +238,7 @@ class RamanModel:
         object.__setattr__(self, "ratios", rat)
 
     def ratio_at(self, detuning_rad_s):
-        d = abs(float(detuning_rad_s))
-        return float(np.interp(d, self.detunings, self.ratios))
+        return float(np.interp(abs(float(detuning_rad_s)), self.detunings, self.ratios))
 
     def clamped(self, detuning_rad_s):
         """True when the query falls outside the tabulated range."""
@@ -261,12 +258,10 @@ def default_raman_model(params):
     Anchors depend on the band width, temperature and pump wavelength of
     ``params``: changing those re-derives the table.
     """
-    dets = []
-    ratios = []
-    for d_nm, v in zip(BUILTIN_ANCHORS_NM, BUILTIN_ANCHOR_VISIBILITIES):
-        det = detuning_to_angular(d_nm, params.pump_wavelength_nm)
-        dets.append(det)
-        ratios.append(calibrate_raman(v, det, params))
+    dets = [detuning_to_angular(d_nm, params.pump_wavelength_nm)
+            for d_nm in BUILTIN_ANCHORS_NM]
+    ratios = [calibrate_raman(v, det, params)
+              for v, det in zip(BUILTIN_ANCHOR_VISIBILITIES, dets)]
     return RamanModel(detunings=np.array(dets), ratios=np.array(ratios))
 
 

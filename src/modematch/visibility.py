@@ -12,10 +12,10 @@ r = Raman-to-Kerr gain ratio at the band center):
     coincidences   C = (q^2 / 4pi) sum_jk chi_j chi_k
                        | iint phi_j(w) phi_k(w') xi(w+w') dw dw' |^2
 
-and the visibility is C / (C + 2 (S_s + R_s)(S_a + R_a)): coincidences
-against accidentals from the two singles streams. The open-filter
-(no filtering) limits of all three have closed forms used for oracle
-checks and for fast unfiltered sweeps.
+and the visibility is C / Q. The overall gain Q = C + 2 (S_s + R_s)(S_a + R_a)
+counts coincidences and accidentals from the two singles streams; the
+secure key is a fraction of it. The open-filter limits of all three
+rates have closed forms used for oracle checks and unfiltered sweeps.
 """
 
 from __future__ import annotations
@@ -206,19 +206,23 @@ def coincidence_term(fm_stokes, fm_anti, params, raman, leading_only=False,
     return (params.q**2 / (4.0 * math.pi)) * float(chis_s @ amp**2 @ chis_a)
 
 
-def tpi_visibility(coincidence, s_stokes, s_anti, r_stokes, r_anti):
-    """Two-photon interference contrast from rates.
+def overall_gain(coincidence, s_stokes, s_anti, r_stokes, r_anti):
+    """Per-pulse rate of recorded coincidences, true and accidental.
 
-    V = C / (C + 2 (S_s + R_s)(S_a + R_a)). All rates must be
-    nonnegative and at least one term positive.
+    Q = C + 2 (S_s + R_s)(S_a + R_a). All rates must be nonnegative and
+    at least one term positive.
     """
-    vals = (coincidence, s_stokes, s_anti, r_stokes, r_anti)
-    if any(v < 0 for v in vals):
+    if any(v < 0 for v in (coincidence, s_stokes, s_anti, r_stokes, r_anti)):
         raise DomainError("rates must be nonnegative")
-    denom = coincidence + 2.0 * (s_stokes + r_stokes) * (s_anti + r_anti)
-    if denom == 0.0:
+    gain = coincidence + 2.0 * (s_stokes + r_stokes) * (s_anti + r_anti)
+    if gain == 0.0:
         raise DomainError("all rates are zero; visibility undefined")
-    return coincidence / denom
+    return gain
+
+
+def tpi_visibility(coincidence, s_stokes, s_anti, r_stokes, r_anti):
+    """Two-photon interference contrast V = C / Q, Q from overall_gain."""
+    return coincidence / overall_gain(coincidence, s_stokes, s_anti, r_stokes, r_anti)
 
 
 def qber_from_visibility(v):
@@ -232,7 +236,8 @@ def key_fraction(qber, p_pair, f_ec=DEFAULT_F_EC, q_basis=1.0):
     """Asymptotic secure key per pulse, floored at zero.
 
     q_basis p_pair (1 - f_ec H2(e) - H2(e)), where q_basis is the basis
-    sifting factor (1: no sifting loss).
+    sifting factor (1: no sifting loss). Callers pass the overall gain Q
+    as p_pair (X. Ma, C.-H. F. Fung and H.-K. Lo, PRA 76, 012307, 2007).
     """
     if p_pair < 0:
         raise DomainError("pair probability must be nonnegative")
@@ -254,9 +259,13 @@ class UnfilteredBudget:
     coincidence: float
 
     @property
+    def gain(self):
+        return overall_gain(self.coincidence, self.s, self.s,
+                            self.r_stokes, self.r_anti)
+
+    @property
     def visibility(self):
-        return tpi_visibility(self.coincidence, self.s, self.s,
-                              self.r_stokes, self.r_anti)
+        return self.coincidence / self.gain
 
 
 def unfiltered_budget(params, raman):
@@ -288,6 +297,7 @@ class VisibilityReport:
     r_stokes: float
     r_anti: float
     coincidence: float
+    gain: float
     visibility: float
     qber: float
     key_fraction: float
@@ -306,13 +316,13 @@ def evaluate_operating_point(params, raman, fm_stokes, fm_anti,
     r_s = raman_term(fm_stokes, params, "stokes", raman, model=model)
     r_a = raman_term(fm_anti, params, "anti", raman, model=model)
     c = coincidence_term(fm_stokes, fm_anti, params, raman, model=model)
-    v = tpi_visibility(c, s_s, s_a, r_s, r_a)
+    gain = overall_gain(c, s_s, s_a, r_s, r_a)
+    v = c / gain
     e = qber_from_visibility(v)
-    p_pair = unfiltered_pair_probability(params)
-    key = key_fraction(e, p_pair, f_ec=f_ec, q_basis=q_basis)
-    return VisibilityReport(p_pair=p_pair, s_stokes=s_s, s_anti=s_a,
-                            r_stokes=r_s, r_anti=r_a, coincidence=c,
-                            visibility=v, qber=e, key_fraction=key)
+    key = key_fraction(e, gain, f_ec=f_ec, q_basis=q_basis)
+    return VisibilityReport(p_pair=unfiltered_pair_probability(params), s_stokes=s_s,
+                            s_anti=s_a, r_stokes=r_s, r_anti=r_a, coincidence=c,
+                            gain=gain, visibility=v, qber=e, key_fraction=key)
 
 
 def saturated_visibility_filtered(params, raman, make_filter, n_points=201,

@@ -3,10 +3,14 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import modematch
 from modematch import cli, filters, sfwm, visibility
 from modematch.config import (
     KEYMAP,
@@ -460,7 +464,7 @@ class TestCliRateModel:
     def test_ppair_sweep_builds_source_pieces_once(self, tmp_path, count_calls):
         n = 41
         occ = count_calls("thermal_occupation", visibility)
-        budgets = count_calls("unfiltered_budget", visibility)
+        budgets = count_calls("unfiltered_budget", cli, visibility)
         grids = count_calls("make_band_grid", cli, sfwm, visibility)
         counts = []
         for points in (3, 6):
@@ -577,6 +581,24 @@ class TestCliErrors:
         assert rc == 2
         assert "exceeds the perturbative bound 0.1" in capsys.readouterr().err
         assert not (tmp_path / "m" / "modes.csv").exists()
+
+    @pytest.mark.parametrize("temperature, rc", [("4.0", 2), ("40.0", 0)])
+    def test_cold_fiber_with_the_builtin_table(self, temperature, rc, tmp_path,
+                                               capsys):
+        # the built-in anchors are calibrated at the configured temperature;
+        # at 4 K they need a gain ratio past calibrate_raman's bound
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("fiber.temperature_k = %s\nnumerics.n_points = 41\n"
+                        % temperature)
+        assert cli.main(["modes", "--config", str(cfgp),
+                         "--out", str(tmp_path / "m")]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == ("error: the built-in gain table (raman.source = builtin) "
+                           "cannot reach its anchor visibilities at "
+                           "fiber.temperature_k = 4.0; set raman.source to a "
+                           "gain table file\n")
+        assert (tmp_path / "m" / "modes.csv").exists() == (rc == 0)
 
     @pytest.mark.parametrize("text", [
         "filter.shutter_t_sigma = -2\n",
@@ -704,6 +726,28 @@ class TestCliDeterminism:
         a = (tmp_path / "a" / "modes.csv").read_bytes()
         b = (tmp_path / "b" / "modes.csv").read_bytes()
         assert a == b
+
+    def test_files_independent_of_blas_threads(self, tmp_path):
+        # one child per thread count, since BLAS reads it once at import
+        src = os.path.dirname(os.path.dirname(modematch.__file__))
+        code = ("import sys\nfrom modematch import cli\n"
+                "for command in ('modes', 'sweep-ppair', 'sweep-detuning'):\n"
+                "    assert cli.main([command, '--out', sys.argv[1]]) == 0\n")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        files = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path)
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = threads
+            out = tmp_path / threads
+            proc = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert sorted(files[0]) == ["modes.csv", "sweep_detuning.csv",
+                                    "sweep_ppair.csv"]
+        for name in files[0]:
+            assert files[0][name] == files[1][name], name
 
 
 # one witness per config key: (the key's alternative values, filter.kind,

@@ -28,6 +28,7 @@ from modematch.visibility import (
     coincidence_term,
     evaluate_operating_point,
     key_fraction,
+    overall_gain,
     pair_term,
     qber_from_visibility,
     raman_term,
@@ -306,8 +307,12 @@ class TestOperatingPointReport:
         )
         assert rep.visibility == pytest.approx(v, rel=1e-14)
         assert rep.qber == pytest.approx((1.0 - v) / 2.0, rel=1e-14)
+        gain = rep.coincidence + 2.0 * (rep.s_stokes + rep.r_stokes) * (
+            rep.s_anti + rep.r_anti)
+        assert rep.gain == pytest.approx(gain, rel=1e-14)
+        # the key counts the coincidences the filters pass, not p_pair
         assert rep.key_fraction == pytest.approx(
-            key_fraction(rep.qber, rep.p_pair), rel=1e-14
+            key_fraction(rep.qber, rep.gain), rel=1e-14
         )
         assert rep.p_pair == pytest.approx(0.01, rel=1e-12)
 
@@ -330,6 +335,42 @@ class TestOperatingPointReport:
         matched_v = evaluate_operating_point(params, raman, matched, matched).visibility
         assert open_v < rep.visibility < matched_v
         assert rep.visibility == pytest.approx(0.892909, rel=1e-4)
+
+
+class TestOverallGain:
+    @pytest.mark.parametrize("n, tol", [(201, 1e-3), (401, 1e-5)])
+    def test_open_quadrature_matches_closed_form(self, setup, n, tol):
+        # criterion 1's oracle and tolerances, carried over to Q
+        params, raman, _, _ = setup
+        fm = open_filter(make_band_grid(params.b_sigma, n))
+        s = pair_term(fm, params)
+        r_s = raman_term(fm, params, "stokes", raman, freeze_thermal=True)
+        r_a = raman_term(fm, params, "anti", raman, freeze_thermal=True)
+        c = coincidence_term(fm, fm, params, raman, leading_only=True)
+        budget = unfiltered_budget(params, raman)
+        assert overall_gain(c, s, s, r_s, r_a) == pytest.approx(budget.gain, rel=tol)
+        assert budget.gain / budget.s == pytest.approx(1.27, abs=5e-3)
+
+    def test_matched_key_follows_from_zeta0(self, setup):
+        # criterion 2's identity C = 4 pi^3 zeta0^2 q^2 fixes Q, V and the key
+        params, raman, dec, matched = setup
+        rep = evaluate_operating_point(params, raman, matched, matched,
+                                       f_ec=1.22, q_basis=0.5)
+        c = 4.0 * math.pi**3 * dec.eigenvalues[0] ** 2 * params.q**2
+        gain = c + 2.0 * (rep.s_stokes + rep.r_stokes) * (rep.s_anti + rep.r_anti)
+        e = (1.0 - c / gain) / 2.0
+        h = -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
+        assert rep.gain == pytest.approx(gain, rel=1e-10)
+        assert rep.key_fraction == pytest.approx(0.5 * gain * (1.0 - 2.22 * h),
+                                                 rel=1e-8)
+        assert rep.gain / rep.p_pair == pytest.approx(0.4796, abs=1e-4)
+
+    def test_key_counts_only_passed_pairs(self, setup):
+        params, raman, dec, _ = setup
+        fm = practical_filter(dec.grid, 2, 3.68, 0.35)
+        rep = evaluate_operating_point(params, raman, fm, fm)
+        assert rep.gain / rep.p_pair == pytest.approx(0.0536, abs=1e-4)
+        assert rep.key_fraction == pytest.approx(1.7768e-4, rel=1e-4)
 
 
 def all_rates(fm, params, raman, model=None):
