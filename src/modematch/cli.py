@@ -191,9 +191,7 @@ def cmd_sweep_detuning(cfg, out_dir, args):
         if filt is None:
             v_f = v_open
         else:
-            v_f = saturated_visibility_filtered(params_d, raman, filt,
-                                                n_points=cfg.n_points,
-                                                model=model)
+            v_f = saturated_visibility_filtered(params_d, raman, filt, model=model)
         rows.append((float(delta_nm), ratio, clamped, v_open, v_f))
     write_output(out_dir, "sweep_detuning.csv",
                  resolved_items(cfg) + [("filter_resolved", label)], rows)
@@ -206,7 +204,7 @@ def cmd_optimize(cfg, out_dir, args):
                                       q_basis=cfg.q_basis, model=model)
     shutter_ps = result.shutter_t / params.sigma * 1e12
     write_output(out_dir, "filter_report.txt", resolved_items(cfg), [
-        ("objective", result.objective),
+        ("objective", cfg.objective),
         ("objective_value", result.objective_value),
         ("order", result.order),
         ("width_sigma", result.width),

@@ -18,6 +18,8 @@ from .sfwm import (ExperimentParams, default_raman_model, load_raman_table,
                    params_for_pair_probability)
 from .units import detuning_to_angular
 
+MAX_N_POINTS = 2001  # the largest numerics.n_points; n x n kernels of 32 MB
+
 
 def finite_float(text):
     value = float(text)
@@ -161,8 +163,8 @@ def load_config(path):
 
 
 def _validate(cfg):
-    if cfg.n_points < 3:
-        raise DomainError("numerics.n_points must be at least 3")
+    if not (3 <= cfg.n_points <= MAX_N_POINTS):
+        raise DomainError("numerics.n_points must lie in 3..%d" % MAX_N_POINTS)
     if cfg.p_min <= 0 or cfg.p_max < cfg.p_min:
         raise DomainError("sweep pair-probability bounds are not ordered")
     if cfg.sweep_points < 2:

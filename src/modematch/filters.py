@@ -220,9 +220,7 @@ class FilterSearchResult:
     order: int
     width: float
     shutter_t: float
-    objective: str
     objective_value: float
-    achieved_v: float
     overlap: float
     filter: FilterModes
     converged: bool
@@ -249,8 +247,9 @@ def optimize_filter(params, raman, search=None, n_points=201, model=None):
     Runs one Nelder-Mead search per mask order, bounded by the search
     box and started from its midpoint, and keeps the best order; the
     first order wins a tie. evaluations and converged describe the
-    winning order's run, and decomposition is the pair decomposition
-    matched against. ``model`` is an optional RateModel on the n_points
+    winning order's run; decomposition is the pair decomposition matched
+    against. The winner's V, QBER and key are evaluate_operating_point's
+    on ``filter``. ``model`` is an optional RateModel on the n_points
     band grid, as for sfwm_modes. Deterministic for fixed inputs.
     """
     from scipy import optimize as _sopt
@@ -291,13 +290,11 @@ def optimize_filter(params, raman, search=None, n_points=201, model=None):
             best = (float(res.fun), order, res.x, bool(res.success), int(res.nfev))
     fun, order, x, converged, evals = best
     width, shutter_t, fm = build(order, x)
-    report = evaluate_operating_point(params, raman, fm, fm, model=model)
     overlap = abs(mode_overlap(fm.modes[:, 0], psi0, grid))
     return FilterSearchResult(
-        order=order, width=width, shutter_t=shutter_t,
-        objective=search.objective, objective_value=-fun,
-        achieved_v=report.visibility, overlap=overlap,
-        filter=fm, converged=converged, evaluations=evals, decomposition=decomp)
+        order=order, width=width, shutter_t=shutter_t, objective_value=-fun,
+        overlap=overlap, filter=fm, converged=converged, evaluations=evals,
+        decomposition=decomp)
 
 
 ATTENUATION_CAP_DB = 120.0

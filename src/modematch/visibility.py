@@ -232,20 +232,20 @@ def qber_from_visibility(v):
     return (1.0 - v) / 2.0
 
 
-def key_fraction(qber, p_pair, f_ec=DEFAULT_F_EC, q_basis=1.0):
+def key_fraction(qber, gain, f_ec=DEFAULT_F_EC, q_basis=1.0):
     """Asymptotic secure key per pulse, floored at zero.
 
-    q_basis p_pair (1 - f_ec H2(e) - H2(e)), where q_basis is the basis
-    sifting factor (1: no sifting loss). Callers pass the overall gain Q
-    as p_pair (X. Ma, C.-H. F. Fung and H.-K. Lo, PRA 76, 012307, 2007).
+    q_basis Q (1 - f_ec H2(e) - H2(e)), where Q is the overall gain of
+    overall_gain and q_basis is the basis sifting factor (1: no sifting
+    loss) (X. Ma, C.-H. F. Fung and H.-K. Lo, PRA 76, 012307, 2007).
     """
-    if p_pair < 0:
-        raise DomainError("pair probability must be nonnegative")
+    if gain < 0:
+        raise DomainError("overall gain must be nonnegative")
     if f_ec < 1.0:
         raise DomainError("error-correction inefficiency below the Shannon limit")
     h = binary_entropy(qber)
     rate = 1.0 - f_ec * h - h
-    return p_pair * q_basis * max(0.0, rate)
+    return gain * q_basis * max(0.0, rate)
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,6 @@ def visibility_open(params, raman):
 class VisibilityReport:
     """All rates and derived figures at one operating point."""
 
-    p_pair: float
     s_stokes: float
     s_anti: float
     r_stokes: float
@@ -320,9 +319,9 @@ def evaluate_operating_point(params, raman, fm_stokes, fm_anti,
     v = c / gain
     e = qber_from_visibility(v)
     key = key_fraction(e, gain, f_ec=f_ec, q_basis=q_basis)
-    return VisibilityReport(p_pair=unfiltered_pair_probability(params), s_stokes=s_s,
-                            s_anti=s_a, r_stokes=r_s, r_anti=r_a, coincidence=c,
-                            gain=gain, visibility=v, qber=e, key_fraction=key)
+    return VisibilityReport(s_stokes=s_s, s_anti=s_a, r_stokes=r_s, r_anti=r_a,
+                            coincidence=c, gain=gain, visibility=v, qber=e,
+                            key_fraction=key)
 
 
 def saturated_visibility_filtered(params, raman, make_filter, n_points=201,

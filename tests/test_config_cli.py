@@ -461,6 +461,21 @@ class TestCliRateModel:
         # psi0 comes from the decomposition the search matched against
         assert len(decomposed) == 1
 
+    def test_optimized_filter_is_evaluated_only_where_printed(self, tmp_path,
+                                                              count_calls):
+        evaluated = count_calls("evaluate_operating_point", cli, filters)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text(QUICK + "filter.kind = optimize\n")
+        counts = {}
+        for command in ("optimize", "modes", "sweep-detuning"):
+            evaluated.clear()
+            rc = cli.main([command, "--config", str(cfgp), "--out", str(tmp_path / command)])
+            assert rc == 0
+            counts[command] = len(evaluated)
+        # the mode-match search never evaluates a filter; only optimize
+        # prints the winner's V, QBER and key
+        assert counts == {"optimize": 1, "modes": 0, "sweep-detuning": 0}
+
     def test_ppair_sweep_builds_source_pieces_once(self, tmp_path, count_calls):
         n = 41
         occ = count_calls("thermal_occupation", visibility)
@@ -644,6 +659,31 @@ class TestCliErrors:
         assert rc == 2
         assert "line 3:" in capsys.readouterr().err
         assert not (tmp_path / "m" / "modes.csv").exists()
+
+    def test_gain_table_without_rows(self, tmp_path, capsys):
+        table = tmp_path / "gain.csv"
+        table.write_text("detuning_thz,gain_ratio\n")
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("raman.source = %s\n" % table)
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "gain table has no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "modes.csv").exists()
+
+    def test_oversized_grid_rejected_before_any_grid(self, tmp_path, capsys,
+                                                     count_calls):
+        # n = 2001 parses; a larger n exits 2 from the config check alone
+        assert parse_config("numerics.n_points = 2001\n").n_points == 2001
+        for n in (2002, 100000000):
+            with pytest.raises(DomainError, match="numerics.n_points"):
+                parse_config("numerics.n_points = %d\n" % n)
+        grids = count_calls("make_band_grid", cli, sfwm, visibility, filters)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("numerics.n_points = 100000000\n")
+        rc = cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")])
+        assert rc == 2
+        assert "numerics.n_points must lie in 3..2001" in capsys.readouterr().err
+        assert grids == []
 
     def test_band_past_the_pump_frequency(self, tmp_path, capsys):
         cfgp = tmp_path / "run.cfg"

@@ -302,6 +302,12 @@ class TestGainTableIO:
             load_raman_table(path)
         assert err.value.line == 1
 
+    def test_header_without_rows(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# calibrated\ndetuning_thz,gain_ratio\n\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            load_raman_table(path)
+
     def test_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("detuning_thz,gain_ratio\n1.0,0.1\noops,0.2\n")

@@ -314,7 +314,7 @@ class TestOperatingPointReport:
         assert rep.key_fraction == pytest.approx(
             key_fraction(rep.qber, rep.gain), rel=1e-14
         )
-        assert rep.p_pair == pytest.approx(0.01, rel=1e-12)
+        assert unfiltered_pair_probability(params) == pytest.approx(0.01, rel=1e-12)
 
     def test_filtered_beats_open_at_fixed_power(self, setup):
         params, raman, dec, matched = setup
@@ -363,13 +363,15 @@ class TestOverallGain:
         assert rep.gain == pytest.approx(gain, rel=1e-10)
         assert rep.key_fraction == pytest.approx(0.5 * gain * (1.0 - 2.22 * h),
                                                  rel=1e-8)
-        assert rep.gain / rep.p_pair == pytest.approx(0.4796, abs=1e-4)
+        p_pair = unfiltered_pair_probability(params)
+        assert rep.gain / p_pair == pytest.approx(0.4796, abs=1e-4)
 
     def test_key_counts_only_passed_pairs(self, setup):
         params, raman, dec, _ = setup
         fm = practical_filter(dec.grid, 2, 3.68, 0.35)
         rep = evaluate_operating_point(params, raman, fm, fm)
-        assert rep.gain / rep.p_pair == pytest.approx(0.0536, abs=1e-4)
+        p_pair = unfiltered_pair_probability(params)
+        assert rep.gain / p_pair == pytest.approx(0.0536, abs=1e-4)
         assert rep.key_fraction == pytest.approx(1.7768e-4, rel=1e-4)
 
 
@@ -404,6 +406,30 @@ class TestRateModel:
                         assert (all_rates(fm, params, raman, model)
                                 == all_rates(fm, params, raman))
 
+    @pytest.mark.parametrize("center_nm, pump_pad", [(5.0, "short"), (10.0, "full")])
+    def test_emission_grid_stops_short_of_the_pump(self, setup, center_nm, pump_pad):
+        base, _, _, _ = setup
+        params = base.with_band_center(detuning_to_angular(center_nm, 1538.7))
+        b0, half = params.b0_sigma, params.b_sigma / 2.0
+        full = visibility.RAMAN_PAD_SIGMA
+        margin = visibility.PUMP_MARGIN_SIGMA
+        # a 5 nm band 5 nm out has its near edge closer than pad + margin
+        assert (b0 - half < full + margin) == (pump_pad == "short")
+        model = RateModel(make_band_grid(params.b_sigma, 41))
+        anti, _ = model.emission(params, "anti")
+        stokes, _ = model.emission(params, "stokes")
+        assert anti.n == stokes.n == 83
+        # the pump sits below the anti-Stokes band and above the Stokes band
+        if pump_pad == "short":
+            assert anti.lo == pytest.approx(-(b0 - margin), rel=1e-12)
+            assert stokes.hi == pytest.approx(b0 - margin, rel=1e-12)
+        else:
+            assert anti.lo == pytest.approx(-(half + full), rel=1e-12)
+            assert stokes.hi == pytest.approx(half + full, rel=1e-12)
+        # the far side always keeps the full pad
+        assert anti.hi == pytest.approx(half + full, rel=1e-12)
+        assert stokes.lo == pytest.approx(-(half + full), rel=1e-12)
+
     def test_fixed_filter_saturates_like_a_constant_map(self, setup):
         params, raman, _, _ = setup
         fm = practical_filter(make_band_grid(params.b_sigma, 41), 2, 3.68, 0.35)
@@ -415,10 +441,13 @@ class TestRateModel:
     def test_optimized_report_unchanged_by_the_model(self, setup):
         params, raman, _, _ = setup
         search = SearchSpace(orders=(2,), objective="visibility")
-        result = optimize_filter(params, raman, search, n_points=41)
+        model = RateModel(make_band_grid(params.b_sigma, 41))
+        result = optimize_filter(params, raman, search, n_points=41, model=model)
+        shared = evaluate_operating_point(params, raman, result.filter,
+                                          result.filter, model=model)
         one_shot = evaluate_operating_point(params, raman, result.filter,
                                             result.filter)
-        assert result.achieved_v == one_shot.visibility
+        assert shared.visibility == one_shot.visibility
 
     @pytest.mark.parametrize("objective", ["mode-match", "visibility"])
     def test_search_unchanged_by_a_passed_model(self, setup, objective):
@@ -428,8 +457,12 @@ class TestRateModel:
         own = optimize_filter(params, raman, search, n_points=41)
         shared = optimize_filter(params, raman, search, n_points=41, model=model)
         for name in ("order", "width", "shutter_t", "objective_value", "overlap",
-                     "achieved_v", "evaluations", "converged"):
+                     "evaluations", "converged"):
             assert getattr(shared, name) == getattr(own, name), name
+        achieved_v = [evaluate_operating_point(params, raman, res.filter, res.filter,
+                                               model=m).visibility
+                      for res, m in ((shared, model), (own, None))]
+        assert achieved_v[0] == achieved_v[1]
         assert shared.filter.grid is model.grid
         assert shared.decomposition.grid is model.grid
 
