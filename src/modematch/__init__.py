@@ -8,9 +8,10 @@ from .errors import (DomainError, InfeasibleError, NumericalError, ParseError,
 from .filters import (FilterModes, FilterSearchResult, SearchSpace,
                       SpectralProfile, filter_modes, ideal_matched_filter,
                       kappa_gaussian_shutter, open_filter, optimize_filter,
-                      practical_filter, shutter_trace, super_gaussian)
+                      practical_filter, shutter_gaussian, shutter_trace,
+                      super_gaussian)
 from .numerics import (Grid, ModeDecomposition, decompose_kernel, integrate,
-                       make_band_grid, mode_overlap)
+                       interpolate_modes, make_band_grid, mode_overlap)
 from .sfwm import (ExperimentParams, RamanModel, band_coincidence_integral,
                    calibrate_raman, default_raman_model, load_raman_table,
                    params_for_pair_probability, sfwm_modes,

@@ -34,6 +34,10 @@ def _int(text):
     return int(text)
 
 
+def _n_points(text):
+    return text if text == "auto" else _int(text)
+
+
 def _bool(text):
     low = text.lower()
     if low in ("true", "yes", "on", "1"):
@@ -70,7 +74,7 @@ class RunConfig:
     band_center_nm: float = 10.0
     band_width_nm: float = 5.0
     p_pair: float = 0.01
-    n_points: int = 201
+    n_points: object = "auto"  # or a pinned node count
     raman_source: str = "builtin"
     filter_kind: str = "ideal-matched"
     filter_order: int = 2
@@ -102,7 +106,7 @@ KEYMAP = {
     "band.center_nm": ("band_center_nm", finite_float),
     "band.width_nm": ("band_width_nm", finite_float),
     "run.p_pair": ("p_pair", finite_float),
-    "numerics.n_points": ("n_points", _int),
+    "numerics.n_points": ("n_points", _n_points),
     "raman.source": ("raman_source", str),
     "filter.kind": ("filter_kind",
                     _choice("open", "ideal-matched", "practical", "optimize")),
@@ -163,7 +167,7 @@ def load_config(path):
 
 
 def _validate(cfg):
-    if not (3 <= cfg.n_points <= MAX_N_POINTS):
+    if cfg.n_points != "auto" and not (3 <= cfg.n_points <= MAX_N_POINTS):
         raise DomainError("numerics.n_points must lie in 3..%d" % MAX_N_POINTS)
     if cfg.p_min <= 0 or cfg.p_max < cfg.p_min:
         raise DomainError("sweep pair-probability bounds are not ordered")

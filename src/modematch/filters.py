@@ -81,18 +81,29 @@ def super_gaussian(grid, width, order):
     return SpectralProfile(grid=grid, values=values)
 
 
-def kappa_gaussian_shutter(profile, shutter_t):
+def shutter_gaussian(rows, cols, shutter_t):
+    """The shutter factor exp(-(w - w')^2 T^2 / (16 ln 2)), w in rows and
+    w' in cols."""
+    d = rows[:, None] - cols[None, :]
+    return np.exp(-d**2 * shutter_t**2 / (16.0 * LN2))
+
+
+def kappa_gaussian_shutter(profile, shutter_t, gaussian=None, rows=None):
     """Filter correlation kernel for a Gaussian shutter, closed form.
 
     shutter_t is the intensity FWHM of the shutter in the grid's time
-    unit (inverse of the grid frequency unit).
+    unit (inverse of the grid frequency unit). ``rows``, the same mask
+    on other nodes, gives the kernel's rows at those nodes instead.
+    ``gaussian`` is shutter_gaussian on the (rows, profile) nodes, which
+    a search that holds the shutter fixed builds once.
     """
     if shutter_t <= 0:
         raise DomainError("shutter FWHM must be positive")
-    h = profile.values
-    d = profile.grid.nodes[:, None] - profile.grid.nodes[None, :]
+    rows = profile if rows is None else rows
+    if gaussian is None:
+        gaussian = shutter_gaussian(rows.grid.nodes, profile.grid.nodes, shutter_t)
     amp = (shutter_t / 2.0) * math.sqrt(math.pi / LN2)
-    return amp * h[:, None] * h[None, :] * np.exp(-d**2 * shutter_t**2 / (16.0 * LN2))
+    return amp * rows.values[:, None] * profile.values[None, :] * gaussian
 
 
 def shutter_trace(profile, shutter_t):
@@ -149,10 +160,13 @@ def filter_modes(kernel, grid):
     return FilterModes(chis=lam[order], modes=dec.modes[:, order], grid=grid)
 
 
-def practical_filter(grid, order, width, shutter_t):
-    """Modes of a super-Gaussian mask followed by a Gaussian shutter."""
+def practical_filter(grid, order, width, shutter_t, gaussian=None):
+    """Modes of a super-Gaussian mask followed by a Gaussian shutter.
+
+    ``gaussian`` is as for kappa_gaussian_shutter.
+    """
     profile = super_gaussian(grid, width, order)
-    return filter_modes(kappa_gaussian_shutter(profile, shutter_t), grid)
+    return filter_modes(kappa_gaussian_shutter(profile, shutter_t, gaussian), grid)
 
 
 def open_filter(grid):
@@ -267,11 +281,14 @@ def optimize_filter(params, raman, search=None, n_points=201, model=None):
     if search_t:
         bounds.append((search.t_lo, search.t_hi))
     x0 = [0.5 * (lo + hi) for lo, hi in bounds]
+    # a fixed shutter's Gaussian factor is the same at every evaluation
+    gaussian = (None if search_t
+                else shutter_gaussian(grid.nodes, grid.nodes, search.shutter_t))
 
     def build(order, x):
         width = float(x[0])
         t = float(x[1]) if search_t else search.shutter_t
-        return width, t, practical_filter(grid, order, width, t)
+        return width, t, practical_filter(grid, order, width, t, gaussian)
 
     def objective(x, order):
         _, _, fm = build(order, x)

@@ -182,11 +182,30 @@ def decompose_kernel(kernel, grid):
     del vec
     modes /= sw[:, None]
     modes *= np.sqrt(TWO_PI)
-    # sign fix: scan each column center, +1, -1, +2, -2, ... and make its
-    # first sample above 1e-8 of the column peak positive
-    offset = np.arange(n) - int(np.argmin(np.abs(grid.nodes)))
+    _fix_signs(modes, grid.nodes)
+    return ModeDecomposition(eigenvalues=lam, modes=modes, grid=grid)
+
+
+def _fix_signs(modes, nodes):
+    """Flip each column of modes, sampled at nodes, in place so that its
+    first sample above 1e-8 of the column peak, scanning from the center
+    outward (+1, -1, +2, -2, ...), is positive."""
+    offset = np.arange(nodes.size) - int(np.argmin(np.abs(nodes)))
     scan = np.argsort(2 * np.abs(offset) - (offset > 0))
     mag = np.abs(np.take(modes, scan, axis=0, mode="clip"))
     first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
-    modes *= np.where(modes[scan[first], np.arange(n)] < 0, -1.0, 1.0)
-    return ModeDecomposition(eigenvalues=lam, modes=modes, grid=grid)
+    modes *= np.where(modes[scan[first], np.arange(modes.shape[1])] < 0, -1.0, 1.0)
+
+
+def interpolate_modes(rows, eigenvalues, modes, grid, nodes):
+    """Nystrom extension of eigenfunctions from a grid to other nodes.
+
+    rows[i, j] is the kernel K(nodes[i], grid.nodes[j]); modes[:, k] is
+    an eigenfunction on the grid with eigenvalue eigenvalues[k], as
+    decompose_kernel returns them. Column k of the result is
+    (1/(2 pi lam_k)) sum_j w_j K(nodes_i, x_j) modes[j, k], sign-fixed
+    on nodes by decompose_kernel's rule.
+    """
+    out = rows @ (grid.weights[:, None] * modes) / (TWO_PI * np.asarray(eigenvalues))
+    _fix_signs(out, np.asarray(nodes, dtype=float))
+    return out

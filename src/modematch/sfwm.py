@@ -136,9 +136,7 @@ def sfwm_modes(params, raman, n_points=201, model=None):
         grid = make_band_grid(params.b_sigma, n_points)
         return decompose_kernel(xi(grid.nodes[:, None] + grid.nodes[None, :],
                                    params.q, gain_ratio(raman, params)), grid)
-    if model.grid.n != n_points or model.grid.span != params.b_sigma:
-        raise DomainError("rate model is not on this source's %d-node band grid"
-                          % n_points)
+    model.check_band(params, n_points)
     return decompose_kernel(model.xi(params.q, gain_ratio(raman, params)), model.grid)
 
 

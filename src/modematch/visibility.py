@@ -122,6 +122,13 @@ class RateModel:
                 raise DomainError("filter grid differs from the rate model's "
                                   "%d-node band grid" % self.grid.n)
 
+    def check_band(self, params, n_points):
+        """Raise DomainError unless the grid is the n_points band grid of
+        ``params``."""
+        if self.grid.n != n_points or self.grid.span != params.b_sigma:
+            raise DomainError("rate model is not on this source's %d-node band grid"
+                              % n_points)
+
     def emission(self, params, band):
         """The band's Raman emission grid and weighted occupations for
         the source of ``params``."""
@@ -338,6 +345,8 @@ def saturated_visibility_filtered(params, raman, make_filter, n_points=201,
     """
     if model is None:
         model = RateModel(make_band_grid(params.b_sigma, n_points))
+    else:
+        model.check_band(params, n_points)
     fm = zero_power_filter(make_filter, model)
     c = coincidence_term(fm, fm, params, raman, leading_only=True, model=model)
     r_s = raman_term(fm, params, "stokes", raman, model=model)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from modematch.config import (
     to_raman,
     to_search_space,
 )
-from modematch.errors import DomainError, NumericalError, ParseError
-from modematch.sfwm import unfiltered_pair_probability
+from modematch.errors import (DomainError, NumericalError, ParseError,
+                               PhysicalityError)
+from modematch.sfwm import sfwm_modes, unfiltered_pair_probability
 
 
 def read_csv(path):
@@ -875,3 +877,121 @@ class TestEveryKeyChangesAResult:
         keys = [key for witness, _, _ in WITNESSES for key in witness]
         assert len(keys) == len(set(keys))
         assert set(keys) == set(KEYMAP)
+
+
+# the default source and tools/cli_matrix.py's perturbed one
+AUTO_SOURCES = {
+    "default": "",
+    "perturbed": ("fiber.temperature_k = 310.0\nband.center_nm = 8.5\n"
+                  "pump.sigma_nm = 0.45\nrun.p_pair = 0.02\n"),
+}
+
+
+class TestAutoGridSize:
+    """numerics.n_points = auto: the grid size chosen by doubling."""
+
+    def test_auto_is_the_default(self):
+        assert RunConfig().n_points == "auto"
+        assert parse_config("numerics.n_points = auto\n").n_points == "auto"
+        with pytest.raises(ParseError):
+            parse_config("numerics.n_points = automatic\n")
+
+    @pytest.mark.parametrize("source", sorted(AUTO_SOURCES))
+    @pytest.mark.parametrize("kind", ["open", "ideal-matched", "practical", "optimize"])
+    def test_diagnostics_agree_with_the_doubled_grid(self, source, kind):
+        cfg = parse_config(AUTO_SOURCES[source] + "filter.orders = 2,4\n"
+                           "filter.kind = %s\n" % kind)
+        setup = cli.resolve(cfg)
+        # the resolved filter, pinned at its order, width and shutter
+        fixed = cfg
+        if setup.shape is not None:
+            order, width, shutter = setup.shape
+            fixed = replace(cfg, filter_kind="practical", filter_order=order,
+                            filter_width_sigma=width, shutter_t_sigma=shutter)
+        doubled = cli.resolve(replace(fixed, n_points=2 * setup.n))
+        pair = sfwm_modes(doubled.params, doubled.raman, n_points=doubled.n,
+                          model=doubled.model)
+        sig = setup.decomposition.significant()[:8]
+        a = cli.diagnostics(cfg, setup, sig)
+        b = cli.diagnostics(cfg, replace(doubled, decomposition=pair), sig)
+        assert a.size == sig.size + (0 if kind == "open" else 7)
+        change = np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                                            cli.N_FLOOR)
+        assert np.max(change) == setup.delta <= cli.N_TOL
+
+    def test_unphysical_trial_grid_counts_as_not_converged(self):
+        # a 20 sigma^-1 shutter passes more than 1 on 41 nodes
+        cfg = parse_config("filter.kind = practical\nfilter.shutter_t_sigma = 20\n")
+        with pytest.raises(PhysicalityError):
+            cli.resolve(replace(cfg, n_points=41))
+        setup = cli.resolve(cfg)
+        assert setup.n == 164
+        assert setup.delta <= cli.N_TOL
+
+    def test_no_convergence_by_the_cap_exits_3(self, tmp_path, capsys, monkeypatch,
+                                               count_calls):
+        monkeypatch.setattr(cli, "N_TOL", 0.0)
+        grids = count_calls("make_band_grid", cli)
+        rc = cli.main(["modes", "--out", str(tmp_path / "m")])
+        assert rc == 3
+        assert "328 nodes (the cap)" in capsys.readouterr().err
+        assert not (tmp_path / "m" / "modes.csv").exists()
+        # each trial size up to the cap, each checked against its double
+        assert [args[1] for args in grids] == [41, 82, 82, 164, 164, 328, 328, 656]
+
+    @pytest.mark.parametrize("kind", ["open", "ideal-matched", "practical"])
+    def test_modes_match_a_pinned_201_node_run(self, kind, tmp_path, monkeypatch):
+        written = {}
+        real = cli.write_output
+
+        def keep(out_dir, name, header, rows, sep=","):
+            written[out_dir] = (dict(header), list(rows))
+            real(out_dir, name, header, written[out_dir][1], sep)
+
+        monkeypatch.setattr(cli, "write_output", keep)
+        columns, headers = {}, {}
+        for n in ("auto", "201"):
+            cfgp = tmp_path / ("%s.cfg" % n)
+            cfgp.write_text("numerics.n_points = %s\nfilter.kind = %s\n" % (n, kind))
+            out = str(tmp_path / n)
+            assert cli.main(["modes", "--config", str(cfgp), "--out", out]) == 0
+            headers[n], rows = written[out]
+            assert len(rows) == 1 + 201
+            columns[n] = dict(zip(rows[0], np.array(rows[1:], dtype=float).T))
+        assert headers["auto"]["n_points_used"] == 41
+        assert "n_points_used" not in headers["201"]
+        assert sorted(columns["auto"]) == sorted(columns["201"])
+        assert np.array_equal(columns["auto"]["omega_sigma"], columns["201"]["omega_sigma"])
+        for name, want in columns["201"].items():
+            gap = np.max(np.abs(columns["auto"][name] - want))
+            assert gap <= 1e-12 * np.abs(want).max(), name
+
+    def test_every_command_reports_the_same_grid_size(self, tmp_path):
+        # a mask narrower than 0.6 sigma needs more than 41 nodes
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("filter.kind = optimize\nfilter.orders = 2\n"
+                        "filter.width_max_sigma = 0.6\nsweep.points = 2\n"
+                        "sweep.delta_points = 2\n")
+        used = {}
+        for command, name in (("modes", "modes.csv"),
+                              ("sweep-ppair", "sweep_ppair.csv"),
+                              ("sweep-detuning", "sweep_detuning.csv"),
+                              ("optimize", "filter_report.txt"),
+                              ("optimize", "filter_profile.csv")):
+            out = tmp_path / command
+            assert cli.main([command, "--config", str(cfgp), "--out", str(out)]) == 0
+            header = dict(line[2:].split(" = ", 1)
+                          for line in (out / name).read_text().splitlines()
+                          if line.startswith("# "))
+            used[name] = (header["n_points_used"], header["n_points_delta"])
+        assert set(used.values()) == {("82", "<1e-12")}
+
+    def test_pinned_grid_skips_the_check(self, tmp_path, count_calls):
+        grids = count_calls("make_band_grid", cli)
+        cfgp = tmp_path / "run.cfg"
+        cfgp.write_text("numerics.n_points = 41\n")
+        assert cli.main(["modes", "--config", str(cfgp), "--out", str(tmp_path / "m")]) == 0
+        header, data = read_csv(tmp_path / "m" / "modes.csv")
+        assert [args[1] for args in grids] == [41]
+        assert "n_points_used" not in header and "n_points_delta" not in header
+        assert data["psi0"].size == 41

@@ -24,6 +24,7 @@ from modematch.filters import (
     open_filter,
     optimize_filter,
     practical_filter,
+    shutter_gaussian,
     shutter_trace,
     super_gaussian,
 )
@@ -169,6 +170,50 @@ class TestShutterKernels:
         g = band_grid()
         with pytest.raises(DomainError):
             kappa_gaussian_shutter(super_gaussian(g, 2.5, 2), 0.0)
+
+    @pytest.mark.parametrize("order, width", [(2, 3.68), (6, 1.3)])
+    def test_held_shutter_gaussian_gives_the_same_kernel(self, order, width):
+        # a fixed-shutter search builds the Gaussian factor once and
+        # passes it to every evaluation
+        g = band_grid(61)
+        held = shutter_gaussian(g.nodes, g.nodes, 0.35)
+        prof = super_gaussian(g, width, order)
+        assert np.array_equal(kappa_gaussian_shutter(prof, 0.35, held),
+                              kappa_gaussian_shutter(prof, 0.35))
+        a, b = (practical_filter(g, order, width, 0.35, held),
+                practical_filter(g, order, width, 0.35))
+        assert np.array_equal(a.chis, b.chis) and np.array_equal(a.modes, b.modes)
+
+    def test_rows_on_other_nodes_extend_the_kernel(self):
+        # the kernel's rows at another grid's nodes, where they coincide
+        # with this grid's, are this grid's kernel rows
+        g = band_grid(41)
+        wide = make_band_grid(10.0, 41, padding=1.0)
+        kern = kappa_gaussian_shutter(super_gaussian(g, 2.5, 4), 0.5)
+        same = kappa_gaussian_shutter(super_gaussian(g, 2.5, 4), 0.5,
+                                      rows=super_gaussian(g, 2.5, 4))
+        other = kappa_gaussian_shutter(super_gaussian(g, 2.5, 4), 0.5,
+                                       rows=super_gaussian(wide, 2.5, 4))
+        assert np.array_equal(same, kern)
+        assert other.shape == (41, 41)
+        h = np.exp(-0.5 * (wide.nodes / 2.5) ** 4)
+        want = ((0.5 / 2.0) * math.sqrt(math.pi / LN2) * h[:, None]
+                * super_gaussian(g, 2.5, 4).values[None, :]
+                * np.exp(-(wide.nodes[:, None] - g.nodes[None, :]) ** 2 * 0.25
+                         / (16.0 * LN2)))
+        assert np.allclose(other, want, rtol=1e-14, atol=0)
+
+    def test_fixed_shutter_search_builds_the_gaussian_once(self, count_calls):
+        params = ExperimentParams.at_pair_rate(0.01)
+        raman = default_raman_model(params)
+        built = count_calls("shutter_gaussian", filters)
+        res = optimize_filter(params, raman, SearchSpace(orders=(2, 4)), n_points=41)
+        assert len(built) == 1 and res.evaluations > 1
+        built.clear()
+        optimize_filter(params, raman, SearchSpace(orders=(2,), t_lo=0.3, t_hi=0.5),
+                        n_points=41)
+        # the searched shutter changes the factor at every evaluation
+        assert len(built) > 1
 
 
 class TestFilterModes:
@@ -330,9 +375,9 @@ class TestOptimizeFilter:
                              t_lo=t_lo, t_hi=t_hi, objective=objective)
         seen = []
 
-        def spy(grid, order, width, shutter_t):
+        def spy(grid, order, width, shutter_t, *held):
             seen.append((width, shutter_t))
-            return practical_filter(grid, order, width, shutter_t)
+            return practical_filter(grid, order, width, shutter_t, *held)
 
         monkeypatch.setattr(filters, "practical_filter", spy)
         res = optimize_filter(self.params, self.raman, search, n_points=61)

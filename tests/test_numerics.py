@@ -12,6 +12,7 @@ from modematch.numerics import (
     _gauss_legendre,
     decompose_kernel,
     integrate,
+    interpolate_modes,
     make_band_grid,
     mode_overlap,
 )
@@ -300,3 +301,41 @@ class TestSignConvention:
         mode = dec.modes[:, 0]
         assert np.all(mode[(x > -4.0) & (x < -2.0)] > 0)
         assert np.all(mode[(x > 3.0) & (x < 5.0)] < 0)
+
+
+class TestInterpolateModes:
+    @staticmethod
+    def kernel(rows, cols):
+        # a smooth symmetric kernel with both even and odd modes
+        return np.exp(-(rows[:, None] + cols[None, :]) ** 2 / 4.0
+                      - (rows[:, None] - cols[None, :]) ** 2 / 20.0)
+
+    def test_reproduces_the_modes_on_their_own_grid(self):
+        g = make_band_grid(10.0, 41)
+        dec = decompose_kernel(self.kernel(g.nodes, g.nodes), g)
+        got = interpolate_modes(self.kernel(g.nodes, g.nodes), dec.eigenvalues[:4],
+                                dec.modes[:, :4], g, g.nodes)
+        assert np.allclose(got, dec.modes[:, :4], rtol=0, atol=1e-12)
+
+    def test_matches_a_finer_decomposition(self):
+        # Gauss-Nystrom converges exponentially for a smooth kernel: the
+        # 41-node modes carried to 201 nodes equal the 201-node modes
+        coarse, fine = make_band_grid(10.0, 41), make_band_grid(10.0, 201)
+        dec = decompose_kernel(self.kernel(coarse.nodes, coarse.nodes), coarse)
+        ref = decompose_kernel(self.kernel(fine.nodes, fine.nodes), fine)
+        got = interpolate_modes(self.kernel(fine.nodes, coarse.nodes),
+                                dec.eigenvalues[:3], dec.modes[:, :3], coarse,
+                                fine.nodes)
+        for j in range(3):
+            peak = np.abs(ref.modes[:, j]).max()
+            assert np.max(np.abs(got[:, j] - ref.modes[:, j])) <= 1e-12 * peak
+
+    def test_signs_fixed_on_the_new_nodes(self):
+        g = make_band_grid(10.0, 41)
+        out = make_band_grid(10.0, 81)
+        dec = decompose_kernel(self.kernel(g.nodes, g.nodes), g)
+        flipped = -dec.modes[:, :2]
+        got = interpolate_modes(self.kernel(out.nodes, g.nodes), dec.eigenvalues[:2],
+                                flipped, g, out.nodes)
+        center = int(np.argmin(np.abs(out.nodes)))
+        assert all(first_significant(got[:, j], center) > 0 for j in range(2))

@@ -430,6 +430,16 @@ class TestRateModel:
         assert anti.hi == pytest.approx(half + full, rel=1e-12)
         assert stokes.lo == pytest.approx(-(half + full), rel=1e-12)
 
+    @pytest.mark.parametrize("n_points, b_scale", [(7, 1.0), (41, 0.5)])
+    def test_zero_power_model_must_match_n_points_and_band(self, setup, n_points,
+                                                          b_scale):
+        params, raman, _, _ = setup
+        model = RateModel(make_band_grid(params.b_sigma * b_scale, 41))
+        fm = practical_filter(model.grid, 2, 3.68, 0.35)
+        with pytest.raises(DomainError, match="%d-node band grid" % n_points):
+            saturated_visibility_filtered(params, raman, fm, n_points=n_points,
+                                          model=model)
+
     def test_fixed_filter_saturates_like_a_constant_map(self, setup):
         params, raman, _, _ = setup
         fm = practical_filter(make_band_grid(params.b_sigma, 41), 2, 3.68, 0.35)

@@ -1,6 +1,6 @@
 """Run every CLI command over a fixed matrix of configs and keep all output.
 
-    python3 tools/cli_matrix.py SRC OUT
+    python3 tools/cli_matrix.py [--n-points N] SRC OUT
     python3 tools/cli_matrix.py --compare OUT_A OUT_B
 
 SRC is a ``src`` directory holding the ``modematch`` package; OUT is a
@@ -26,8 +26,9 @@ The matrix is ``modes``, ``sweep-ppair``, ``sweep-detuning``,
 ``visibility`` objective and under ``filter.kind = optimize`` with the
 shutter searched over 0.2-1.5 sigma^-1 along with the mask width, for
 the default source and a perturbed one, at ``numerics.n_points = 101``
-and ``filter.orders = 2,4``. Commands run in this one process with one
-BLAS thread.
+(``--n-points`` sets another value, such as ``auto`` or 201) and
+``filter.orders = 2,4``. Commands run in this one process with one BLAS
+thread.
 """
 
 import contextlib
@@ -37,7 +38,7 @@ import sys
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-COMMON = "numerics.n_points = 101\nfilter.orders = 2,4\n"
+COMMON = "numerics.n_points = %s\nfilter.orders = 2,4\n"
 
 SOURCES = {
     "default": "",
@@ -180,8 +181,12 @@ def compare(dir_a, dir_b):
 def main(argv):
     if len(argv) == 3 and argv[0] == "--compare":
         sys.exit(0 if compare(argv[1], argv[2]) else 1)
+    n_points = "101"
+    if len(argv) == 4 and argv[0] == "--n-points":
+        n_points, argv = argv[1], argv[2:]
     if len(argv) != 2:
-        sys.exit("usage: cli_matrix.py SRC OUT | cli_matrix.py --compare OUT_A OUT_B")
+        sys.exit("usage: cli_matrix.py [--n-points N] SRC OUT | "
+                 "cli_matrix.py --compare OUT_A OUT_B")
     src, out = (os.path.abspath(a) for a in argv)
     sys.path.insert(0, src)
     from modematch import cli
@@ -191,7 +196,7 @@ def main(argv):
         for filt, filter_text in FILTERS.items():
             config_path = os.path.join(out, "%s-%s.cfg" % (source, filt))
             with open(config_path, "w", encoding="ascii") as fh:
-                fh.write(COMMON + source_text + filter_text)
+                fh.write(COMMON % n_points + source_text + filter_text)
             for command, extra in COMMANDS.items():
                 run_dir = os.path.join(out, "%s-%s-%s" % (source, filt, command))
                 os.makedirs(run_dir)
